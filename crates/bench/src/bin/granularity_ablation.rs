@@ -1,16 +1,15 @@
 //! Scheduling ablations: fixed-chunk dealing vs lazy range splitting
-//! on sumEuler (chunk_size ∈ {1, 10, paper-default}),
-//! persistent-pool vs respawn-per-wave on APSP, and randomized vs
-//! round-robin victim selection — pick one table (or all) with
+//! on sumEuler (chunk_size ∈ {1, 10, paper-default}), and randomized
+//! vs round-robin victim selection — pick one table (or all) with
 //! `--ablation`.
 //!
 //! With `--quick` the inputs are tiny but still drive every new code
-//! path — batch steals, range splits, idle parking, pool reuse — which
-//! is what the CI smoke step runs on every push.
+//! path — batch steals, range splits, idle parking — which is what
+//! the CI smoke step runs on every push.
 //!
 //! ```text
 //! cargo run -p rph-bench --release --bin granularity_ablation \
-//!     [--quick] [--ablation granularity|pool-reuse|steal-policy|all]
+//!     [--quick] [--ablation granularity|steal-policy|all]
 //! ```
 
 use rph_bench::granularity::Ablation;
@@ -22,7 +21,9 @@ fn ablation_arg() -> Ablation {
         if a == "--ablation" {
             let v = args.next().unwrap_or_default();
             return Ablation::parse(&v).unwrap_or_else(|| {
-                eprintln!("unknown --ablation value {v:?}; expected granularity, pool-reuse, steal-policy or all");
+                eprintln!(
+                    "unknown --ablation value {v:?}; expected granularity, steal-policy or all"
+                );
                 std::process::exit(2);
             });
         }

@@ -1,8 +1,7 @@
 //! The scheduling ablations behind the `granularity_ablation` binary:
 //! fixed-chunk dealing (the PR 1 executor) vs lazy range splitting,
-//! the pool-reuse ablation for wave-structured APSP, and randomized
-//! vs round-robin victim selection — selectable via [`Ablation`]
-//! (`--ablation` on the binary).
+//! and randomized vs round-robin victim selection — selectable via
+//! [`Ablation`] (`--ablation` on the binary).
 //!
 //! The paper's sumEuler experiments hinge on spark granularity:
 //! chunk_size=1 drowns the fixed-task executor in per-task scheduling
@@ -15,7 +14,7 @@
 
 use rph_core::prelude::*;
 use rph_native::{Granularity, NativeConfig, StealPolicy};
-use rph_workloads::{Apsp, NativeWorkload, SumEuler};
+use rph_workloads::{NativeWorkload, SumEuler};
 use std::time::Duration;
 
 /// Which ablation table(s) to produce — the `--ablation` flag of the
@@ -24,8 +23,6 @@ use std::time::Duration;
 pub enum Ablation {
     /// Fixed-chunk dealing vs lazy range splitting (sumEuler).
     Granularity,
-    /// Persistent pool vs respawn-per-wave (APSP).
-    PoolReuse,
     /// Randomized vs round-robin victim selection (sumEuler).
     StealPolicy,
     /// Every table.
@@ -37,7 +34,6 @@ impl Ablation {
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "granularity" => Some(Ablation::Granularity),
-            "pool-reuse" => Some(Ablation::PoolReuse),
             "steal-policy" => Some(Ablation::StealPolicy),
             "all" => Some(Ablation::All),
             _ => None,
@@ -53,10 +49,6 @@ fn host_workers() -> usize {
         .map(|n| n.get())
         .unwrap_or(1)
         .min(8)
-}
-
-fn best_of(reps: usize, mut run: impl FnMut() -> Duration) -> Duration {
-    (0..reps).map(|_| run()).min().expect("reps >= 1")
 }
 
 /// One ablation point through the shared sweep loop: `w` at the host's
@@ -122,44 +114,6 @@ pub fn sum_euler_granularity(quick: bool) -> String {
     table.to_csv()
 }
 
-/// APSP pool-reuse ablation: one persistent pool across all pivot
-/// waves vs a fresh thread pool per wave (the PR 1 shape). Prints the
-/// table; returns its CSV.
-pub fn apsp_pool_reuse(quick: bool) -> String {
-    let n = if quick { 48 } else { 192 };
-    let workers = host_workers();
-    let w = Apsp::new(n);
-    let expect = w.expected();
-    let cfg = NativeConfig::steal(workers);
-    println!(
-        "apsp {n} nodes pool-reuse ablation ({n} waves), {workers} workers, {REPS} reps best-of"
-    );
-
-    let pooled = best_point(&w, &cfg).wall;
-    let respawn = best_of(REPS, || {
-        // `run_native_respawn` is not part of the `NativeWorkload`
-        // surface `checked_run` covers; check its value directly.
-        let m = w.run_native_respawn(&cfg).expect("respawn apsp run failed");
-        crate::oracles::assert_value(w.name(), "respawn", m.value, expect);
-        m.wall
-    });
-
-    let mut table = TextTable::new(&["variant", "ms", "vs pooled"]);
-    table.row(&[
-        "persistent pool".into(),
-        format!("{:.2}", ms(pooled)),
-        "1.00".into(),
-    ]);
-    table.row(&[
-        "respawn per wave".into(),
-        format!("{:.2}", ms(respawn)),
-        format!("{:.2}", ms(respawn) / ms(pooled)),
-    ]);
-    let rendered = table.render();
-    println!("{rendered}");
-    table.to_csv()
-}
-
 /// Victim-selection ablation: randomized sweep permutation (the
 /// default since PR 4) vs fixed round-robin order, on fine-grained
 /// sumEuler where steal pressure is highest. Prints the table; returns
@@ -205,9 +159,6 @@ pub fn run(quick: bool, which: Ablation) -> String {
     let mut csv = String::new();
     if matches!(which, Ablation::Granularity | Ablation::All) {
         csv.push_str(&sum_euler_granularity(quick));
-    }
-    if matches!(which, Ablation::PoolReuse | Ablation::All) {
-        csv.push_str(&apsp_pool_reuse(quick));
     }
     if matches!(which, Ablation::StealPolicy | Ablation::All) {
         csv.push_str(&steal_policy(quick));

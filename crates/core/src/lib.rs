@@ -29,9 +29,9 @@
 //! |---|---|---|
 //! | configuration | `EdenConfig::new(pes)` | `NativeConfig::new(workers).with_backend(BackendKind::Eden)` |
 //! | run entry | `EdenRuntime::run*` / `rph_workloads::*::run_eden` | `rph_workloads::NativeWorkload::run_on` |
-//! | static farm | `parMap` process instantiation | [`native::par_map`] |
-//! | demand-driven farm | `run_eden_master_worker` | [`native::master_worker`] (`Skeleton::MasterWorker`) |
-//! | wavefront ring | `ring` skeleton (APSP) | [`native::ring`] + [`native::RingJob`] |
+//! | static farm | `parMap` process instantiation | [`native::try_par_map`] |
+//! | demand-driven farm | `run_eden_master_worker` | [`native::try_master_worker`] (`Skeleton::MasterWorker`) |
+//! | wavefront ring | `ring` skeleton (APSP) | [`native::try_ring`] + [`native::RingJob`] |
 //! | message framing | `Packet` (virtual words) | [`native::Packet`] + [`native::Wordsize`] |
 //! | channel capacity | stream/buffer model | `NativeConfig::with_chan_cap` |
 //! | counters | `EdenStats` (messages, words) | `NativeStats` (`msgs_sent`, `words_sent`, block counts) |
@@ -93,8 +93,8 @@ pub mod prelude {
     pub use rph_heap::{Heap, NodeRef, ScId, Value};
     pub use rph_machine::{ir, prelude as hs_prelude, Program, ProgramBuilder};
     pub use rph_native::{
-        execute, master_worker, par_map, ring, BackendKind, Distribution, Granularity,
-        NativeConfig, Packet, Pool, RingJob, Skeleton, StealPolicy, Wordsize,
+        try_execute, try_master_worker, try_par_map, try_ring, BackendKind, Distribution,
+        Granularity, NativeConfig, Packet, Pool, RingJob, Skeleton, StealPolicy, Wordsize,
     };
     pub use rph_trace::{render_timeline, RenderOptions, Timeline, TraceStats, Tracer};
 }

@@ -1,5 +1,8 @@
-//! Shared harness for the native Eden backend: per-PE endpoints,
-//! channel bookkeeping and outcome assembly.
+//! The native Eden backend's run harness: per-PE endpoints, channel
+//! bookkeeping, the one PE spawn site ([`run_pes`]) and outcome
+//! assembly. Every skeleton in [`crate::skeletons`] is a composition
+//! over [`run_pes`]: its own channel wiring, its PE program and (for
+//! the demand-driven farm alone) a master program.
 //!
 //! The execution model is Eden's §II picture on real threads:
 //!
@@ -22,11 +25,13 @@
 //!   back-pressure or starved for input, mirroring what EdenTV shows
 //!   for `waitForSpace`/`waitForData` in the paper's Fig. 4.
 
-use crate::channel::{Packet, Receiver, Sender, TrySendError};
+use crate::channel::{bounded_with_notify, Packet, Receiver, Sender, TrySendError};
 use crate::error::EdenIncomplete;
 use crate::executor::{NativeConfig, NativeOutcome, NativeStats};
+use crate::park::EventCount;
 use crate::trace::{map_events, NEvent, NEventKind, TraceBuf};
 use rph_trace::{CapId, Tracer, WallClock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Message counters one endpoint (PE or master) maintains about
@@ -84,6 +89,24 @@ impl Endpoint {
         }
     }
 
+    /// The master's PE id (it sits after the last worker PE).
+    pub fn master(&self) -> u32 {
+        self.workers
+    }
+
+    /// Run `work` as one execution episode of `count` tasks, recorded
+    /// as an `ExecStart`/`ExecEnd` pair.
+    pub fn exec<R>(&mut self, count: usize, work: impl FnOnce() -> R) -> R {
+        self.tbuf.record(NEventKind::ExecStart);
+        let out = work();
+        self.stats.ran += count as u64;
+        self.tbuf.record(NEventKind::ExecEnd {
+            count: count as u32,
+            stolen: false,
+        });
+        out
+    }
+
     /// Book-keep a packet that was (already) delivered to PE `to`.
     pub fn note_sent(&mut self, to: u32, words: u64, tag: &'static str) {
         self.stats.msgs_sent += 1;
@@ -103,7 +126,7 @@ impl Endpoint {
     /// Send `pkt` to PE `to`, blocking under back-pressure (recorded
     /// as a `BlockSend` episode). Returns false if the receiving end
     /// is gone — which means the peer panicked; callers stop sending
-    /// and let the join propagate the panic.
+    /// and let the join report the dead PE.
     pub fn send<T>(
         &mut self,
         tx: &Sender<Packet<T>>,
@@ -174,6 +197,7 @@ impl Endpoint {
 }
 
 /// What one endpoint contributes to the run outcome.
+#[derive(Default)]
 pub(crate) struct PeReport {
     pub stats: PeStats,
     pub events: Vec<NEvent>,
@@ -185,7 +209,7 @@ pub(crate) struct PeReport {
 /// `0..workers` are the PEs, row `workers` is the master; `per_worker`
 /// covers the PEs only (the master runs no tasks). All tasks are
 /// "local" — there is no stealing to attribute against.
-pub(crate) fn assemble<T>(
+fn assemble<T>(
     cfg: &NativeConfig,
     values: Vec<T>,
     wall: Duration,
@@ -229,7 +253,7 @@ pub(crate) fn assemble<T>(
 }
 
 /// An Eden run with nothing to do: `workers` idle PEs, zero messages.
-pub(crate) fn empty_outcome<T>(cfg: &NativeConfig) -> NativeOutcome<T> {
+fn empty_outcome<T>(cfg: &NativeConfig) -> NativeOutcome<T> {
     let workers = cfg.workers.max(1);
     NativeOutcome {
         values: Vec::new(),
@@ -254,9 +278,9 @@ pub(crate) fn empty_outcome<T>(cfg: &NativeConfig) -> NativeOutcome<T> {
 /// master that sat on PE 0's stream until it closed would leave every
 /// other PE parked in back-pressure once its buffer filled,
 /// serialising the farm.
-pub(crate) fn drain_results<T>(
+fn drain_results<T>(
     master: &mut Endpoint,
-    ec: &crate::park::EventCount,
+    ec: &EventCount,
     rxs: &[Receiver<Packet<T>>],
     mut on_packet: impl FnMut(&mut Endpoint, usize, Packet<T>),
 ) {
@@ -291,27 +315,12 @@ pub(crate) fn drain_results<T>(
     }
 }
 
-/// Turn `slots` (filled by packet index) into a dense result vector,
-/// or the indices of every hole — a hole means a PE died before
-/// producing that task's result packet.
-pub(crate) fn try_into_values<T>(slots: Vec<Option<T>>) -> Result<Vec<T>, Vec<u32>> {
-    let missing: Vec<u32> = slots
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.is_none())
-        .map(|(i, _)| i as u32)
-        .collect();
-    if !missing.is_empty() {
-        return Err(missing);
-    }
-    Ok(slots.into_iter().flatten().collect())
-}
-
-/// Final assembly step shared by the fallible skeletons: a clean run
-/// (no dead PEs, no result holes) becomes a [`NativeOutcome`]; any
-/// loss becomes the typed [`EdenIncomplete`] error naming the dead
-/// PEs and the lost task indices.
-pub(crate) fn finish_run<T>(
+/// Final assembly step of [`run_pes`]: a clean run (no dead PEs, no
+/// result holes) becomes a [`NativeOutcome`]; any loss becomes the
+/// typed [`EdenIncomplete`] error naming the dead PEs and the indices
+/// of every hole — a hole means a PE died before producing that
+/// result packet.
+fn finish_run<T>(
     cfg: &NativeConfig,
     slots: Vec<Option<T>>,
     wall: Duration,
@@ -319,15 +328,117 @@ pub(crate) fn finish_run<T>(
     dead_pes: Vec<u32>,
     master: PeReport,
 ) -> Result<NativeOutcome<T>, EdenIncomplete> {
-    match try_into_values(slots) {
-        Ok(values) if dead_pes.is_empty() => Ok(assemble(cfg, values, wall, pe_reports, master)),
-        // A PE died after delivering all its results: the values are
-        // complete, but the run is still reported as incomplete — the
-        // death was a task panic and callers must see it.
-        Ok(_) => Err(EdenIncomplete {
-            dead_pes,
-            missing: Vec::new(),
-        }),
-        Err(missing) => Err(EdenIncomplete { dead_pes, missing }),
+    let missing: Vec<u32> = (0..slots.len() as u32)
+        .filter(|&i| slots[i as usize].is_none())
+        .collect();
+    // A PE that died after delivering all its results still fails the
+    // run: the death was a task panic and callers must see it.
+    if !missing.is_empty() || !dead_pes.is_empty() {
+        return Err(EdenIncomplete { dead_pes, missing });
     }
+    let values = slots.into_iter().flatten().collect();
+    Ok(assemble(cfg, values, wall, pe_reports, master))
+}
+
+/// Join the PE threads, swallowing (already-hooked) panics: a dead
+/// PE contributes an empty report and its id to the returned list,
+/// so the caller can surface a typed error instead of unwinding.
+fn try_join_all(
+    handles: Vec<std::thread::ScopedJoinHandle<'_, PeReport>>,
+) -> (Vec<PeReport>, Vec<u32>) {
+    let mut dead = Vec::new();
+    let reports = handles
+        .into_iter()
+        .enumerate()
+        .map(|(w, h)| {
+            h.join().unwrap_or_else(|_| {
+                dead.push(w as u32);
+                PeReport::default()
+            })
+        })
+        .collect();
+    (reports, dead)
+}
+
+/// The master program of a skeleton whose master only collects.
+pub(crate) fn collect_only(_: &mut Endpoint) -> impl FnMut(&mut Endpoint, usize) {
+    |_, _| {}
+}
+
+/// Run one Eden skeleton: the one place native PE threads are spawned.
+///
+/// One scoped thread per element of `ctxs` runs `pe(endpoint, w,
+/// ctx, results)`, where `ctx` holds PE `w`'s private channel ends
+/// and `results` is its stream to the master; the harness records
+/// the PE's `RunEnd` after `pe` returns (the PE records its own
+/// `RunStart`). Meanwhile the caller's thread is the master: it
+/// records `RunStart { tasks }`, calls `master` once to prime the run
+/// and gets back a hook invoked with `(endpoint, w)` after each
+/// result packet from PE `w` lands in its slot. Every packet is
+/// tagged `tag` and indexes one of `slots` result slots, each filled
+/// exactly once. When every result stream has closed, the hook is
+/// dropped (closing any channel it owns), the PEs are joined and the
+/// slots become the outcome — or an [`EdenIncomplete`] naming the
+/// dead PEs and the unfilled slots. `tasks == 0` is the empty run.
+pub(crate) fn run_pes<T, C, P, M, H>(
+    cfg: &NativeConfig,
+    tasks: usize,
+    slots: usize,
+    tag: &'static str,
+    ctxs: Vec<C>,
+    pe: P,
+    master: M,
+) -> Result<NativeOutcome<T>, EdenIncomplete>
+where
+    T: Send,
+    C: Send,
+    P: Fn(&mut Endpoint, usize, C, &Sender<Packet<T>>) + Sync,
+    M: FnOnce(&mut Endpoint) -> H,
+    H: FnMut(&mut Endpoint, usize),
+{
+    if tasks == 0 {
+        return Ok(empty_outcome(cfg));
+    }
+    let workers = cfg.workers.max(1);
+    debug_assert_eq!(ctxs.len(), workers, "one context per PE");
+    let clock = WallClock::start();
+    let ec = Arc::new(EventCount::new());
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..workers)
+        .map(|_| bounded_with_notify(cfg.chan_cap, Some(Arc::clone(&ec))))
+        .unzip();
+    let pe = &pe;
+    let (slots, pe_reports, dead_pes, master_report) = std::thread::scope(|s| {
+        let handles: Vec<_> = ctxs
+            .into_iter()
+            .zip(txs)
+            .enumerate()
+            .map(|(w, (ctx, tx))| {
+                s.spawn(move || {
+                    let mut ep = Endpoint::new(cfg, clock, w as u32);
+                    pe(&mut ep, w, ctx, &tx);
+                    ep.tbuf.record(NEventKind::RunEnd);
+                    ep.finish()
+                })
+            })
+            .collect();
+
+        let mut ep = Endpoint::new(cfg, clock, workers as u32);
+        ep.tbuf.record(NEventKind::RunStart {
+            tasks: tasks as u64,
+        });
+        let mut slots: Vec<Option<T>> = (0..slots).map(|_| None).collect();
+        let mut on_result = master(&mut ep);
+        drain_results(&mut ep, &ec, &rxs, |ep, w, pkt| {
+            ep.note_recv(w as u32, pkt.words, tag);
+            let prev = slots[pkt.idx as usize].replace(pkt.payload);
+            assert!(prev.is_none(), "result {} delivered twice", pkt.idx);
+            on_result(ep, w);
+        });
+        ep.tbuf.record(NEventKind::RunEnd);
+        drop(on_result);
+        let (reports, dead) = try_join_all(handles);
+        (slots, reports, dead, ep.finish())
+    });
+    let wall = clock.epoch().elapsed();
+    finish_run(cfg, slots, wall, pe_reports, dead_pes, master_report)
 }

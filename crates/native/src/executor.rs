@@ -1,5 +1,6 @@
-//! Public types of the native executor, and the one-shot [`execute`]
-//! entry point (a [`crate::Pool`] that lives for a single run).
+//! Public types of the native executor, and the one-shot
+//! [`try_execute`] entry point (a [`crate::Pool`] that lives for a
+//! single run).
 
 use crate::pool::Pool;
 use std::sync::OnceLock;
@@ -428,29 +429,23 @@ pub struct NativeOutcome<T> {
 }
 
 /// Run every task of `job` on the **steal backend** and return the
-/// results in task order, spinning up a single-run [`Pool`].
+/// results in task order, spinning up a single-run [`Pool`]. A
+/// panicking task surfaces as `Err(JobPanicked)` instead of unwinding
+/// into the caller.
 ///
 /// This entry point ignores [`NativeConfig::backend`]: a [`Job`]'s
 /// output carries no [`crate::Wordsize`] framing, so it cannot travel
 /// over Eden channels. Jobs whose output implements `Wordsize` run on
-/// the Eden backend through [`crate::skeletons::par_map`] (or via
+/// the Eden backend through [`crate::skeletons::try_par_map`] (or via
 /// `rph_workloads`' `NativeWorkload::run_on`, which dispatches on the
 /// configured backend).
 ///
 /// Results are deterministic (each task's value depends only on the
 /// job), regardless of worker count, distribution policy or
 /// granularity; only the schedule — and the wall-clock time — varies.
-/// Wave-structured callers should hold a [`Pool`] and call
-/// [`Pool::try_execute`] repeatedly instead of paying a thread spawn/join
-/// per wave here.
-pub fn execute<J: Job>(job: &J, cfg: &NativeConfig) -> NativeOutcome<J::Out> {
-    try_execute(job, cfg).unwrap_or_else(|_| panic!("a worker panicked during a native run"))
-}
-
-/// [`execute`], surfacing a panicking task as `Err(JobPanicked)`
-/// instead of aborting the calling thread — the contract long-running
-/// callers (the job server) need. Persistent callers should hold a
-/// [`Pool`] and use [`Pool::try_execute`] directly.
+/// Wave-structured and long-running callers should hold a [`Pool`]
+/// and call [`Pool::try_execute`] repeatedly instead of paying a
+/// thread spawn/join per run here.
 pub fn try_execute<J: Job>(
     job: &J,
     cfg: &NativeConfig,
@@ -529,7 +524,7 @@ mod tests {
     #[test]
     fn runs_every_task_once_in_order() {
         for cfg in all_configs(&[1, 2, 3, 4, 5, 8]) {
-            let out = execute(&Squares(257), &cfg);
+            let out = try_execute(&Squares(257), &cfg).unwrap();
             assert_eq!(out.values, expected(257), "{cfg:?}");
             assert_invariants(&out.stats, 257, &cfg);
         }
@@ -541,7 +536,7 @@ mod tests {
         // policy/granularity, including odd worker counts.
         for n in [1usize, 2, 3, 7] {
             for cfg in all_configs(&[3, 5, 8]) {
-                let out = execute(&Squares(n), &cfg);
+                let out = try_execute(&Squares(n), &cfg).unwrap();
                 assert_eq!(out.values, expected(n), "n={n} {cfg:?}");
                 assert_invariants(&out.stats, n as u64, &cfg);
             }
@@ -550,7 +545,7 @@ mod tests {
 
     #[test]
     fn empty_job_is_fine() {
-        let out = execute(&Squares(0), &NativeConfig::steal(4));
+        let out = try_execute(&Squares(0), &NativeConfig::steal(4)).unwrap();
         assert!(out.values.is_empty());
         assert_eq!(out.stats.tasks_run, 0);
         assert_eq!(out.stats.per_worker, vec![0; 4]);
@@ -558,14 +553,15 @@ mod tests {
 
     #[test]
     fn single_task_many_workers() {
-        let out = execute(&Squares(1), &NativeConfig::steal(8));
+        let out = try_execute(&Squares(1), &NativeConfig::steal(8)).unwrap();
         assert_eq!(out.values, vec![0]);
     }
 
     #[test]
     fn push_mode_stays_static() {
         for g in [Granularity::Fixed, Granularity::LazySplit] {
-            let out = execute(&Squares(100), &NativeConfig::push(4).with_granularity(g));
+            let out =
+                try_execute(&Squares(100), &NativeConfig::push(4).with_granularity(g)).unwrap();
             assert_eq!(out.values, expected(100), "{g:?}");
             // Static deal: exactly 25 tasks per worker, none stolen.
             assert_eq!(out.stats.per_worker, vec![25, 25, 25, 25], "{g:?}");
@@ -581,12 +577,12 @@ mod tests {
     /// classified by the shard map.
     #[test]
     fn sharded_pool_matches_flat_results() {
-        let flat = execute(&Squares(257), &NativeConfig::steal(4));
+        let flat = try_execute(&Squares(257), &NativeConfig::steal(4)).unwrap();
         for (shards, per_shard) in [(2, 2), (4, 1)] {
             let cfg = NativeConfig::steal(4).with_topology(shards, per_shard);
             assert_eq!(cfg.workers, 4);
             assert_eq!(cfg.per_shard(), per_shard);
-            let out = execute(&Squares(257), &cfg);
+            let out = try_execute(&Squares(257), &cfg).unwrap();
             assert_eq!(out.values, flat.values, "{cfg:?}");
             assert_invariants(&out.stats, 257, &cfg);
             // A cross-shard steal always carries at least the popped
@@ -602,10 +598,10 @@ mod tests {
     /// sky.
     #[test]
     fn oversubscribed_steal_pool_completes_and_matches() {
-        let one = execute(&Squares(400), &NativeConfig::steal(1));
+        let one = try_execute(&Squares(400), &NativeConfig::steal(1)).unwrap();
         for workers in [16usize, 32, 64] {
             let cfg = NativeConfig::steal(workers);
-            let out = execute(&Squares(400), &cfg);
+            let out = try_execute(&Squares(400), &cfg).unwrap();
             assert_eq!(out.values, one.values, "workers={workers}");
             assert_invariants(&out.stats, 400, &cfg);
             // Parks are counted per contiguous idle episode, so even a
@@ -640,7 +636,7 @@ mod tests {
     #[test]
     fn steal_mode_moves_work_off_worker_zero() {
         for g in [Granularity::Fixed, Granularity::LazySplit] {
-            let out = execute(&Heavy, &NativeConfig::steal(4).with_granularity(g));
+            let out = try_execute(&Heavy, &NativeConfig::steal(4).with_granularity(g)).unwrap();
             assert_eq!(out.values, (0..64).collect::<Vec<u64>>(), "{g:?}");
             assert_invariants(&out.stats, 64, &NativeConfig::steal(4).with_granularity(g));
             // All work starts on worker 0, so any other worker's first
@@ -659,7 +655,7 @@ mod tests {
     fn lazy_split_records_splits() {
         // With >1 worker the seed range is popped into an empty deque,
         // so the very first demand check must split — deterministically.
-        let out = execute(&Squares(100), &NativeConfig::steal(2));
+        let out = try_execute(&Squares(100), &NativeConfig::steal(2)).unwrap();
         assert_eq!(out.values, expected(100));
         assert!(out.stats.splits >= 1, "{:?}", out.stats);
     }
@@ -727,7 +723,7 @@ mod tests {
             others_done: AtomicU64::new(0),
         };
         let start = Instant::now();
-        let out = execute(&job, &NativeConfig::steal(4));
+        let out = try_execute(&job, &NativeConfig::steal(4)).unwrap();
         let elapsed = start.elapsed();
         assert_eq!(out.values, vec![0, 1, 2, 3]);
         assert!(
@@ -752,7 +748,9 @@ mod tests {
                 idx as u64
             }
         }
-        let result = std::panic::catch_unwind(|| execute(&Exploding, &NativeConfig::steal(4)));
-        assert!(result.is_err(), "task panic must propagate to the caller");
+        // The panic comes back as a typed error on the caller, not as
+        // an unwind.
+        let out = try_execute(&Exploding, &NativeConfig::steal(4));
+        assert_eq!(out.err(), Some(crate::JobPanicked));
     }
 }

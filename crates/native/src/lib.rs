@@ -18,8 +18,8 @@
 //! * A [`Pool`] spawns one worker per requested core **once** and
 //!   accepts repeated [`Pool::try_execute`] calls — wave-structured
 //!   workloads (APSP's n pivot waves) reuse the same threads instead
-//!   of paying n spawn/join barriers. [`execute`] remains the one-shot
-//!   convenience wrapper.
+//!   of paying n spawn/join barriers. [`try_execute`] is the one-shot
+//!   form (a pool that lives for a single run).
 //! * Each worker owns a `chase_lev::Worker` deque of packed
 //!   `(lo, hi)` index ranges (`rph_deque::Range32`); every other
 //!   worker holds a `Stealer` handle onto it.
@@ -60,15 +60,23 @@
 //! on real threads, selected by [`NativeConfig::backend`]:
 //!
 //! * [`BackendKind::Steal`] — the shared-heap work-stealing executor
-//!   above ([`Pool`], [`execute`]).
+//!   above ([`Pool`], [`try_execute`]).
 //! * [`BackendKind::Eden`] — one OS thread per PE with **private
 //!   working memory**, communicating only fully-evaluated [`Packet`]s
-//!   over bounded SPSC [`channel`]s, through the three [`skeletons`]
-//!   the paper's workloads need: [`skeletons::par_map`] (static
-//!   farm), [`skeletons::master_worker`] (demand-driven farm) and
-//!   [`skeletons::ring`] (wavefronts). Channel sends, receives and
+//!   over bounded SPSC [`channel`]s, through the five [`skeletons`]
+//!   the workloads need: [`try_par_map`] (static farm),
+//!   [`try_master_worker`] (demand-driven farm), [`try_ring`]
+//!   (wavefronts), [`try_par_map_reduce`] (folding farm) and
+//!   [`try_exchange`] (bulk-synchronous all-to-all). All five are
+//!   compositions over one run harness that spawns the PEs, collects
+//!   their result packets on the calling thread and turns a dead PE
+//!   into a typed [`EdenIncomplete`]. Channel sends, receives and
 //!   blocks land in the same wall-clock trace machinery, so Eden runs
 //!   render the same per-core timelines — now with message events.
+//!
+//! Every entry point is typed: a panicking task comes back as
+//! [`JobPanicked`] (steal) or [`EdenIncomplete`] (Eden), never as an
+//! unwind into the caller.
 
 mod cancel;
 pub mod channel;
@@ -85,11 +93,11 @@ pub use cancel::CancelToken;
 pub use channel::{bounded, Packet, Receiver, Sender, TrySendError, Wordsize};
 pub use error::{EdenIncomplete, JobPanicked, RunError};
 pub use executor::{
-    execute, try_execute, BackendKind, Distribution, Granularity, Job, NativeConfig, NativeOutcome,
+    try_execute, BackendKind, Distribution, Granularity, Job, NativeConfig, NativeOutcome,
     NativeStats, ResultHeap, StealPolicy, DEFAULT_CHAN_CAP, DEFAULT_TRACE_CAP,
 };
 pub use pool::Pool;
 pub use skeletons::{
-    exchange, master_worker, par_map, par_map_reduce, ring, try_exchange, try_master_worker,
-    try_par_map, try_par_map_reduce, try_ring, ExchangeJob, RingJob, Skeleton,
+    try_exchange, try_master_worker, try_par_map, try_par_map_reduce, try_ring, ExchangeJob,
+    RingJob, Skeleton,
 };

@@ -226,7 +226,7 @@ impl Pool {
 
     /// Run every task of `job` on the pool's workers and return the
     /// results in task order. Semantics are identical to
-    /// [`crate::execute`]; only the thread lifecycle differs.
+    /// [`crate::try_execute`]; only the thread lifecycle differs.
     ///
     /// Jobs longer than the packed-range index space (`u32::MAX`
     /// tasks) are executed as consecutive chunks — every task still
@@ -255,15 +255,6 @@ impl Pool {
         cancel: &CancelToken,
     ) -> Result<NativeOutcome<J::Out>, RunError> {
         self.execute_inner(job, Some(cancel))
-    }
-
-    /// Panicking wrapper kept for one release: existing one-shot
-    /// callers that treat a task panic as fatal. New code — anything
-    /// long-running — should use [`Self::try_execute`].
-    #[deprecated(note = "use try_execute: a panicking job aborts the calling thread here")]
-    pub fn execute<J: Job>(&mut self, job: &J) -> NativeOutcome<J::Out> {
-        self.try_execute(job)
-            .unwrap_or_else(|_| panic!("a worker panicked during a native run"))
     }
 
     fn execute_inner<J: Job>(

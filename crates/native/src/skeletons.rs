@@ -1,55 +1,59 @@
 //! The native Eden backend's algorithmic skeletons.
 //!
 //! Eden programs are written against skeletons — higher-order process
-//! schemes — and the paper's workloads use exactly three shapes, all
-//! implemented here on real threads over the bounded channels of
+//! schemes. The paper's workloads use five shapes, all implemented
+//! here on real threads over the bounded channels of
 //! [`crate::channel`]:
 //!
-//! * [`par_map`] — the static farm: task `i` is assigned to PE
+//! * [`try_par_map`] — the static farm: task `i` is assigned to PE
 //!   `i mod workers` up front, each PE streams its result packets back
 //!   to the master. Right for regular work (sumEuler chunks, matMul
 //!   blocks) where a static deal is already balanced.
-//! * [`master_worker`] — the demand-driven farm (the paper's answer
-//!   to irregular tasks like nqueens): the master keeps `prefetch`
-//!   task packets in flight per worker and hands out the next task
-//!   only when a result comes back, so fast workers get more tasks.
-//! * [`ring`] — PEs own contiguous blocks of items and pass a pivot
-//!   packet around the ring once per wave (APSP's Floyd–Warshall
-//!   rounds, the paper's §III.D ring skeleton).
+//! * [`try_master_worker`] — the demand-driven farm (the paper's
+//!   answer to irregular tasks like nqueens): the master keeps
+//!   `prefetch` task packets in flight per worker and hands out the
+//!   next task only when a result comes back, so fast workers get
+//!   more tasks.
+//! * [`try_ring`] — PEs own contiguous blocks of items and pass a
+//!   pivot packet around the ring once per wave (APSP's
+//!   Floyd–Warshall rounds, the paper's §III.D ring skeleton).
+//! * [`try_par_map_reduce`] — the static farm folding as it goes: one
+//!   partial packet per PE.
+//! * [`try_exchange`] — bulk-synchronous all-to-all batches between
+//!   PEs that own data partitions (episim's rounds).
 //!
-//! All three return the same [`NativeOutcome`] the steal backend
-//! produces — values in task order, wall time, counters, and (when
-//! tracing) one [`rph_trace::Tracer`] row per PE plus one for the
-//! master — so every consumer (benches, differential tests, timeline
-//! rendering) treats the two backends uniformly.
+//! Each skeleton is only what is specific to it — its channel wiring,
+//! its PE program and, for the demand-driven farm, a master program —
+//! composed over the one harness `eden::run_pes`, which spawns the
+//! PEs, collects result packets on the calling (master) thread and
+//! assembles the same [`NativeOutcome`] the steal backend produces:
+//! values in task order, wall time, counters, and (when tracing) one
+//! [`rph_trace::Tracer`] row per PE plus one for the master.
 //!
-//! Panic behaviour: a panicking PE drops its channel endpoints, which
-//! unblocks its peers (their sends/recvs observe the close) and lets
-//! the master's drain terminate. The fallible entry points
-//! ([`try_par_map`], [`try_master_worker`], [`try_ring`]) then report
-//! a typed [`EdenIncomplete`] naming the dead PEs and the task
-//! indices whose results were lost; the infallible wrappers panic on
-//! that error for one-shot callers.
+//! Failure behaviour: a panicking PE drops its channel endpoints,
+//! which unblocks its peers (their sends/recvs observe the close) and
+//! lets the master's drain terminate. Every skeleton then reports a
+//! typed [`EdenIncomplete`] naming the dead PEs and the indices whose
+//! results were lost; none of them unwinds into the caller.
 
-use crate::channel::{bounded_with_notify, Packet, Receiver, Sender, Wordsize};
-use crate::eden::{drain_results, empty_outcome, finish_run, Endpoint, PeReport, PeStats};
+use crate::channel::{bounded, bounded_with_notify, Packet, Receiver, Sender, Wordsize};
+use crate::eden::{collect_only, run_pes, Endpoint};
 use crate::error::EdenIncomplete;
 use crate::executor::{Job, NativeConfig, NativeOutcome};
 use crate::park::EventCount;
 use crate::pool::block_share;
 use crate::trace::NEventKind;
-use rph_trace::WallClock;
 use std::sync::Arc;
 
 /// Which farm skeleton a flat [`Job`] should run under on the Eden
-/// backend. (The [`ring`] skeleton is not a farm — it needs the
-/// richer [`RingJob`] shape — so it is not representable here.)
+/// backend. (The ring skeleton is not a farm — it needs the richer
+/// [`RingJob`] shape — so it is not representable here.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Skeleton {
-    /// Static farm: [`par_map`].
+    /// Static farm: [`try_par_map`].
     ParMap,
     /// Demand-driven farm with the given per-worker prefetch depth:
-    /// [`master_worker`].
+    /// [`try_master_worker`].
     MasterWorker {
         /// Task packets kept in flight per worker (clamped to ≥ 1).
         prefetch: usize,
@@ -57,19 +61,8 @@ pub enum Skeleton {
 }
 
 impl Skeleton {
-    /// Run `job` under this skeleton, panicking if a PE dies mid-run
-    /// (the one-shot contract; long-running callers use
-    /// [`Self::try_run`]).
-    pub fn run<J>(self, job: &J, cfg: &NativeConfig) -> NativeOutcome<J::Out>
-    where
-        J: Job,
-        J::Out: Wordsize,
-    {
-        self.try_run(job, cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Run `job` under this skeleton, reporting a dead PE as a typed
-    /// [`EdenIncomplete`] instead of panicking.
+    /// [`EdenIncomplete`].
     pub fn try_run<J>(
         self,
         job: &J,
@@ -86,44 +79,9 @@ impl Skeleton {
     }
 }
 
-/// Join the PE threads, swallowing (already-hooked) panics: a dead
-/// PE contributes an empty report and its id to the returned list,
-/// so the caller can surface a typed error instead of unwinding.
-fn try_join_all(
-    handles: Vec<std::thread::ScopedJoinHandle<'_, PeReport>>,
-) -> (Vec<PeReport>, Vec<u32>) {
-    let mut dead = Vec::new();
-    let reports = handles
-        .into_iter()
-        .enumerate()
-        .map(|(w, h)| match h.join() {
-            Ok(rep) => rep,
-            Err(_) => {
-                dead.push(w as u32);
-                PeReport {
-                    stats: PeStats::default(),
-                    events: Vec::new(),
-                    dropped: 0,
-                }
-            }
-        })
-        .collect();
-    (reports, dead)
-}
-
 /// Static farm: task `i` runs on PE `i mod workers`; every PE streams
 /// `(index, value)` result packets to the master, which collects them
-/// into task order. Panics if a PE dies mid-run; see [`try_par_map`].
-pub fn par_map<J>(job: &J, cfg: &NativeConfig) -> NativeOutcome<J::Out>
-where
-    J: Job,
-    J::Out: Wordsize,
-{
-    try_par_map(job, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`par_map`], reporting a dead PE as [`EdenIncomplete`] instead of
-/// panicking.
+/// into task order. A dead PE is reported as [`EdenIncomplete`].
 pub fn try_par_map<J>(job: &J, cfg: &NativeConfig) -> Result<NativeOutcome<J::Out>, EdenIncomplete>
 where
     J: Job,
@@ -133,88 +91,34 @@ where
     let shards = cfg.shards.max(1);
     let per_shard = workers / shards;
     let n = job.len();
-    if n == 0 {
-        return Ok(empty_outcome(cfg));
-    }
-    let clock = WallClock::start();
-    let master_id = workers as u32;
-    let ec = Arc::new(EventCount::new());
-    let mut txs = Vec::with_capacity(workers);
-    let mut rxs = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (tx, rx) = bounded_with_notify(cfg.chan_cap, Some(Arc::clone(&ec)));
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let (slots, pe_reports, dead_pes, master_report) = std::thread::scope(|s| {
-        let handles: Vec<_> = txs
-            .into_iter()
-            .enumerate()
-            .map(|(w, tx)| {
-                s.spawn(move || {
-                    let mut ep = Endpoint::new(cfg, clock, w as u32);
-                    // Shard-aware static deal: task `i` lands on PE
-                    // `(i mod shards)·per_shard + (i/shards mod
-                    // per_shard)` — round-robin across shards first,
-                    // then within the shard, so a short job still
-                    // spreads over every shard. PE `w = s·per_shard+j`
-                    // therefore owns `i = shards·j + s + k·workers`.
-                    // With one shard this is exactly `i mod workers`.
-                    let first = shards * (w % per_shard) + w / per_shard;
-                    let mine = n.saturating_sub(first).div_ceil(workers) as u64;
-                    ep.tbuf.record(NEventKind::RunStart { tasks: mine });
-                    for idx in (first..n).step_by(workers) {
-                        ep.tbuf.record(NEventKind::ExecStart);
-                        let out = job.run(idx);
-                        ep.stats.ran += 1;
-                        ep.tbuf.record(NEventKind::ExecEnd {
-                            count: 1,
-                            stolen: false,
-                        });
-                        if !ep.send(&tx, master_id, "result", Packet::new(idx as u32, out)) {
-                            break; // master gone: unwinding already
-                        }
-                    }
-                    ep.tbuf.record(NEventKind::RunEnd);
-                    ep.finish()
-                })
-            })
-            .collect();
-
-        let mut master = Endpoint::new(cfg, clock, master_id);
-        master.tbuf.record(NEventKind::RunStart { tasks: n as u64 });
-        let mut slots: Vec<Option<J::Out>> = (0..n).map(|_| None).collect();
-        drain_results(&mut master, &ec, &rxs, |master, w, pkt| {
-            master.note_recv(w as u32, pkt.words, "result");
-            let prev = slots[pkt.idx as usize].replace(pkt.payload);
-            assert!(prev.is_none(), "task {} produced two results", pkt.idx);
-        });
-        master.tbuf.record(NEventKind::RunEnd);
-        let (reports, dead) = try_join_all(handles);
-        (slots, reports, dead, master.finish())
-    });
-    let wall = clock.epoch().elapsed();
-    finish_run(cfg, slots, wall, pe_reports, dead_pes, master_report)
+    let pe = |ep: &mut Endpoint, w: usize, (), res: &Sender<_>| {
+        // Shard-aware static deal: task `i` lands on PE `(i mod
+        // shards)·per_shard + (i/shards mod per_shard)` — round-robin
+        // across shards first, then within the shard, so a short job
+        // still spreads over every shard. PE `w = s·per_shard+j`
+        // therefore owns `i = shards·j + s + k·workers`. With one
+        // shard this is exactly `i mod workers`.
+        let first = shards * (w % per_shard) + w / per_shard;
+        let mine = n.saturating_sub(first).div_ceil(workers) as u64;
+        ep.tbuf.record(NEventKind::RunStart { tasks: mine });
+        for idx in (first..n).step_by(workers) {
+            let out = ep.exec(1, || job.run(idx));
+            if !ep.send(res, ep.master(), "result", Packet::new(idx as u32, out)) {
+                break; // master gone: unwinding already
+            }
+        }
+    };
+    run_pes(cfg, n, n, "result", vec![(); workers], pe, collect_only)
 }
 
 /// Demand-driven farm: the master primes each worker with `prefetch`
 /// task packets, then releases one new task per result received —
 /// irregular tasks (nqueens subtrees) flow to whoever is free. With
 /// fewer tasks than PEs the surplus workers receive an immediately
-/// closed task stream and exit without deadlocking. Panics if a PE
-/// dies mid-run; see [`try_master_worker`].
-pub fn master_worker<J>(job: &J, cfg: &NativeConfig, prefetch: usize) -> NativeOutcome<J::Out>
-where
-    J: Job,
-    J::Out: Wordsize,
-{
-    try_master_worker(job, cfg, prefetch).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`master_worker`], reporting a dead PE as [`EdenIncomplete`]
-/// instead of panicking: tasks already handed to a PE that dies are
-/// lost (their indices land in [`EdenIncomplete::missing`]), while
-/// the remaining tasks keep flowing to the surviving PEs.
+/// closed task stream and exit without deadlocking. Tasks already
+/// handed to a PE that dies are lost (their indices land in
+/// [`EdenIncomplete::missing`]), while the remaining tasks keep
+/// flowing to the surviving PEs.
 pub fn try_master_worker<J>(
     job: &J,
     cfg: &NativeConfig,
@@ -226,117 +130,83 @@ where
 {
     let workers = cfg.workers.max(1);
     let n = job.len();
-    if n == 0 {
-        return Ok(empty_outcome(cfg));
-    }
     let prefetch = prefetch.max(1);
-    let clock = WallClock::start();
-    let master_id = workers as u32;
-    let ec = Arc::new(EventCount::new());
+    // Task channel depth = prefetch: the master never sends more than
+    // `prefetch` undelivered tasks, so it never blocks here.
+    let (task_txs, task_rxs): (Vec<_>, Vec<_>) = (0..workers)
+        .map(|_| {
+            let (tx, rx) = bounded(prefetch);
+            (Some(tx), rx)
+        })
+        .unzip();
 
-    let mut task_txs: Vec<Option<Sender<Packet<()>>>> = Vec::with_capacity(workers);
-    let mut task_rxs = Vec::with_capacity(workers);
-    let mut res_txs = Vec::with_capacity(workers);
-    let mut res_rxs = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        // Task channel depth = prefetch: the master never sends more
-        // than `prefetch` undelivered tasks, so it never blocks here.
-        let (ttx, trx) = bounded_with_notify(prefetch, None);
-        task_txs.push(Some(ttx));
-        task_rxs.push(trx);
-        let (rtx, rrx) = bounded_with_notify(cfg.chan_cap, Some(Arc::clone(&ec)));
-        res_txs.push(rtx);
-        res_rxs.push(rrx);
+    let pe = |ep: &mut Endpoint, _: usize, task_rx: Receiver<Packet<()>>, res: &Sender<_>| {
+        ep.tbuf.record(NEventKind::RunStart { tasks: 0 });
+        while let Some(pkt) = ep.recv(&task_rx, ep.master(), "task") {
+            let out = ep.exec(1, || job.run(pkt.idx as usize));
+            if !ep.send(res, ep.master(), "result", Packet::new(pkt.idx, out)) {
+                break;
+            }
+        }
+    };
+
+    /// The master's task dispenser: hands out task indices in order
+    /// and closes each worker's stream once nothing is left for it.
+    struct Feeder {
+        txs: Vec<Option<Sender<Packet<()>>>>,
+        outstanding: Vec<usize>,
+        next: usize,
+        n: usize,
     }
-
-    /// Hand the next task to worker `w` (no-op if its stream is
-    /// already closed, e.g. because the worker died).
-    fn feed(
-        master: &mut Endpoint,
-        txs: &mut [Option<Sender<Packet<()>>>],
-        outstanding: &mut [usize],
-        next: &mut usize,
-        w: usize,
-    ) {
-        if let Some(tx) = &txs[w] {
-            if master.send(tx, w as u32, "task", Packet::new(*next as u32, ())) {
-                outstanding[w] += 1;
-                *next += 1;
-            } else {
-                txs[w] = None;
+    impl Feeder {
+        /// Hand the next task to worker `w` (no-op if its stream is
+        /// already closed, e.g. because the worker died).
+        fn feed(&mut self, master: &mut Endpoint, w: usize) {
+            if let Some(tx) = &self.txs[w] {
+                if master.send(tx, w as u32, "task", Packet::new(self.next as u32, ())) {
+                    self.outstanding[w] += 1;
+                    self.next += 1;
+                } else {
+                    self.txs[w] = None;
+                }
             }
         }
     }
-
-    let (slots, pe_reports, dead_pes, master_report) = std::thread::scope(|s| {
-        let handles: Vec<_> = task_rxs
-            .into_iter()
-            .zip(res_txs)
-            .enumerate()
-            .map(|(w, (task_rx, res_tx))| {
-                s.spawn(move || {
-                    let mut ep = Endpoint::new(cfg, clock, w as u32);
-                    ep.tbuf.record(NEventKind::RunStart { tasks: 0 });
-                    while let Some(pkt) = ep.recv(&task_rx, master_id, "task") {
-                        let idx = pkt.idx as usize;
-                        ep.tbuf.record(NEventKind::ExecStart);
-                        let out = job.run(idx);
-                        ep.stats.ran += 1;
-                        ep.tbuf.record(NEventKind::ExecEnd {
-                            count: 1,
-                            stolen: false,
-                        });
-                        if !ep.send(&res_tx, master_id, "result", Packet::new(pkt.idx, out)) {
-                            break;
-                        }
-                    }
-                    ep.tbuf.record(NEventKind::RunEnd);
-                    ep.finish()
-                })
-            })
-            .collect();
-
-        let mut master = Endpoint::new(cfg, clock, master_id);
-        master.tbuf.record(NEventKind::RunStart { tasks: n as u64 });
-        let mut slots: Vec<Option<J::Out>> = (0..n).map(|_| None).collect();
-        let mut outstanding = vec![0usize; workers];
-        let mut next = 0usize;
+    let master = |ep: &mut Endpoint| {
+        let mut f = Feeder {
+            txs: task_txs,
+            outstanding: vec![0; workers],
+            next: 0,
+            n,
+        };
         // Prime every worker, round-robin so a tiny task bag still
         // spreads across PEs; then close streams that got nothing.
         'prime: for _ in 0..prefetch {
             for w in 0..workers {
-                if next >= n {
+                if f.next >= n {
                     break 'prime;
                 }
-                feed(&mut master, &mut task_txs, &mut outstanding, &mut next, w);
+                f.feed(ep, w);
             }
         }
         for w in 0..workers {
-            if next >= n && outstanding[w] == 0 {
-                task_txs[w] = None;
+            if f.next >= n && f.outstanding[w] == 0 {
+                f.txs[w] = None;
             }
         }
-        drain_results(&mut master, &ec, &res_rxs, |master, w, pkt| {
-            master.note_recv(w as u32, pkt.words, "result");
-            let prev = slots[pkt.idx as usize].replace(pkt.payload);
-            assert!(prev.is_none(), "task {} produced two results", pkt.idx);
-            outstanding[w] -= 1;
-            if next < n {
-                feed(master, &mut task_txs, &mut outstanding, &mut next, w);
-            } else if outstanding[w] == 0 {
-                task_txs[w] = None;
+        move |ep: &mut Endpoint, w: usize| {
+            f.outstanding[w] -= 1;
+            if f.next < f.n {
+                f.feed(ep, w);
+            } else if f.outstanding[w] == 0 {
+                f.txs[w] = None;
             }
-        });
-        master.tbuf.record(NEventKind::RunEnd);
-        drop(task_txs);
-        let (reports, dead) = try_join_all(handles);
-        (slots, reports, dead, master.finish())
-    });
-    let wall = clock.epoch().elapsed();
-    finish_run(cfg, slots, wall, pe_reports, dead_pes, master_report)
+        }
+    };
+    run_pes(cfg, n, n, "result", task_rxs, pe, master)
 }
 
-/// A wave-structured computation for the [`ring`] skeleton: `len`
+/// A wave-structured computation for the [`try_ring`] skeleton: `len`
 /// items evolve over `len` waves; wave `k`'s update of every item
 /// depends only on the item itself and item `k`'s pre-wave state (the
 /// pivot), which the owner broadcasts around the ring.
@@ -369,163 +239,91 @@ pub trait RingJob: Sync {
 /// successor is the owner, which already has it) and updates its
 /// block. After the last wave each PE streams its block back to the
 /// master. One pivot thus crosses each ring edge at most once per
-/// wave — `workers - 1` sends per wave, never `workers²`. Panics if a
-/// PE dies mid-run; see [`try_ring`].
-pub fn ring<R: RingJob>(job: &R, cfg: &NativeConfig) -> NativeOutcome<R::Item> {
-    try_ring(job, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`ring`], reporting dead PEs as [`EdenIncomplete`] instead of
-/// panicking. A dying PE severs the ring, so its neighbours' waves
-/// cannot complete either: expect a cascade where several (often all)
-/// PEs land in [`EdenIncomplete::dead_pes`].
+/// wave — `workers - 1` sends per wave, never `workers²`. A dying PE
+/// severs the ring, so its neighbours' waves cannot complete either:
+/// expect an [`EdenIncomplete`] cascade where several (often all) PEs
+/// land in [`EdenIncomplete::dead_pes`].
 pub fn try_ring<R: RingJob>(
     job: &R,
     cfg: &NativeConfig,
 ) -> Result<NativeOutcome<R::Item>, EdenIncomplete> {
     let workers = cfg.workers.max(1);
     let n = job.len();
-    if n == 0 {
-        return Ok(empty_outcome(cfg));
-    }
-    let clock = WallClock::start();
-    let master_id = workers as u32;
-    let ec = Arc::new(EventCount::new());
-
     // owner[k] = PE whose block contains item k, under the same block
     // partition the PEs themselves compute.
     let mut owner = vec![0u32; n];
     for w in 0..workers {
         let (lo, hi) = block_share(n as u64, workers, w);
-        for o in owner.iter_mut().take(hi as usize).skip(lo as usize) {
-            *o = w as u32;
-        }
+        owner[lo as usize..hi as usize].fill(w as u32);
     }
-    let owner = &owner;
+    // Ring edge `w` runs from PE `w-1` into PE `w`: PE `w` receives on
+    // edge `w` and sends on edge `w+1`.
+    let (mut ring_txs, ring_rxs): (Vec<_>, Vec<_>) =
+        (0..workers).map(|_| bounded(cfg.chan_cap)).unzip();
+    ring_txs.rotate_left(1);
+    let edges: Vec<_> = ring_txs.into_iter().zip(ring_rxs).collect();
 
-    // into[w]: ring edge from PE w-1 into PE w.
-    let mut ring_txs: Vec<Option<Sender<Packet<R::Item>>>> = (0..workers).map(|_| None).collect();
-    let mut ring_rxs: Vec<Option<Receiver<Packet<R::Item>>>> = (0..workers).map(|_| None).collect();
-    for w in 0..workers {
-        let (tx, rx) = bounded_with_notify(cfg.chan_cap, None);
-        ring_txs[w] = Some(tx);
-        ring_rxs[w] = Some(rx);
-    }
-    let mut res_txs = Vec::with_capacity(workers);
-    let mut res_rxs = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (tx, rx) = bounded_with_notify(cfg.chan_cap, Some(Arc::clone(&ec)));
-        res_txs.push(tx);
-        res_rxs.push(rx);
-    }
-
-    let (slots, pe_reports, dead_pes, master_report) = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(workers);
-        for (w, res_tx) in res_txs.into_iter().enumerate() {
-            let succ = (w + 1) % workers;
-            let pred = (w + workers - 1) % workers;
-            let ring_tx = ring_txs[succ].take().expect("ring edge claimed twice");
-            let ring_rx = ring_rxs[w].take().expect("ring edge claimed twice");
-            handles.push(s.spawn(move || {
-                let (lo, hi) = block_share(n as u64, workers, w);
-                let (lo, hi) = (lo as usize, hi as usize);
-                let mut ep = Endpoint::new(cfg, clock, w as u32);
-                ep.tbuf.record(NEventKind::RunStart {
-                    tasks: ((hi - lo) * n) as u64,
-                });
-                let mut items: Vec<R::Item> = (lo..hi).map(|i| job.init(i)).collect();
-                for k in 0..n {
-                    let own = owner[k] as usize;
-                    let pivot = if own == w {
-                        let pivot = items[k - lo].clone();
-                        if workers > 1 {
-                            ep.send(
-                                &ring_tx,
-                                succ as u32,
-                                "ring",
-                                Packet::new(k as u32, pivot.clone()),
-                            );
-                        }
-                        pivot
-                    } else {
-                        let pkt = ep
-                            .recv(&ring_rx, pred as u32, "ring")
-                            .expect("ring closed mid-wave (peer PE died)");
-                        debug_assert_eq!(pkt.idx as usize, k, "pivot arrived out of wave order");
-                        if succ != own {
-                            ep.send(
-                                &ring_tx,
-                                succ as u32,
-                                "ring",
-                                Packet::new(k as u32, pkt.payload.clone()),
-                            );
-                        }
-                        pkt.payload
-                    };
-                    if !items.is_empty() {
-                        ep.tbuf.record(NEventKind::ExecStart);
-                        for (off, item) in items.iter_mut().enumerate() {
-                            let idx = lo + off;
-                            if idx != k {
-                                *item = job.step(item, idx, &pivot, k);
-                            }
-                        }
-                        ep.stats.ran += (hi - lo) as u64;
-                        ep.tbuf.record(NEventKind::ExecEnd {
-                            count: (hi - lo) as u32,
-                            stolen: false,
-                        });
-                    }
-                }
-                drop(ring_tx);
-                for (off, item) in items.into_iter().enumerate() {
-                    let idx = (lo + off) as u32;
-                    if !ep.send(&res_tx, master_id, "result", Packet::new(idx, item)) {
-                        break;
-                    }
-                }
-                ep.tbuf.record(NEventKind::RunEnd);
-                ep.finish()
-            }));
-        }
-
-        let mut master = Endpoint::new(cfg, clock, master_id);
-        master.tbuf.record(NEventKind::RunStart { tasks: n as u64 });
-        let mut slots: Vec<Option<R::Item>> = (0..n).map(|_| None).collect();
-        drain_results(&mut master, &ec, &res_rxs, |master, w, pkt| {
-            master.note_recv(w as u32, pkt.words, "result");
-            let prev = slots[pkt.idx as usize].replace(pkt.payload);
-            assert!(prev.is_none(), "item {} returned twice", pkt.idx);
+    let pe = |ep: &mut Endpoint, w: usize, (ring_tx, ring_rx), res: &Sender<_>| {
+        let succ = (w + 1) % workers;
+        let pred = (w + workers - 1) % workers;
+        let (lo, hi) = block_share(n as u64, workers, w);
+        let (lo, hi) = (lo as usize, hi as usize);
+        ep.tbuf.record(NEventKind::RunStart {
+            tasks: ((hi - lo) * n) as u64,
         });
-        master.tbuf.record(NEventKind::RunEnd);
-        let (reports, dead) = try_join_all(handles);
-        (slots, reports, dead, master.finish())
-    });
-    let wall = clock.epoch().elapsed();
-    finish_run(cfg, slots, wall, pe_reports, dead_pes, master_report)
+        let mut items: Vec<R::Item> = (lo..hi).map(|i| job.init(i)).collect();
+        for k in 0..n {
+            let own = owner[k] as usize;
+            let pivot = if own == w {
+                let pivot = items[k - lo].clone();
+                if workers > 1 {
+                    let pkt = Packet::new(k as u32, pivot.clone());
+                    ep.send(&ring_tx, succ as u32, "ring", pkt);
+                }
+                pivot
+            } else {
+                let pkt: Packet<R::Item> = ep
+                    .recv(&ring_rx, pred as u32, "ring")
+                    .expect("ring closed mid-wave (peer PE died)");
+                debug_assert_eq!(pkt.idx as usize, k, "pivot arrived out of wave order");
+                if succ != own {
+                    let fwd = Packet::new(k as u32, pkt.payload.clone());
+                    ep.send(&ring_tx, succ as u32, "ring", fwd);
+                }
+                pkt.payload
+            };
+            if !items.is_empty() {
+                ep.exec(hi - lo, || {
+                    for (off, item) in items.iter_mut().enumerate() {
+                        if lo + off != k {
+                            *item = job.step(item, lo + off, &pivot, k);
+                        }
+                    }
+                });
+            }
+        }
+        drop(ring_tx);
+        for (idx, item) in (lo as u32..).zip(items) {
+            if !ep.send(res, ep.master(), "result", Packet::new(idx, item)) {
+                break;
+            }
+        }
+    };
+    run_pes(cfg, n, n, "result", edges, pe, collect_only)
 }
 
-/// A fold-as-you-go farm: the reduction view of [`par_map`]. Worker
-/// `w` owns the contiguous task block `block_share(len, workers, w)`,
-/// folds its results locally in ascending task order, and sends the
-/// master **one** partial packet; the master folds the partials in
-/// ascending worker order. Because the blocks are contiguous and both
-/// folds run left-to-right, the overall grouping is a re-association
-/// of the sequential left fold — any *associative* `fold` therefore
-/// reproduces the sequential result bit-for-bit, regardless of worker
-/// count. Panics if a PE dies mid-run; see [`try_par_map_reduce`].
-pub fn par_map_reduce<J, F>(job: &J, cfg: &NativeConfig, fold: F) -> NativeOutcome<J::Out>
-where
-    J: Job,
-    J::Out: Wordsize,
-    F: Fn(J::Out, J::Out) -> J::Out + Sync,
-{
-    try_par_map_reduce(job, cfg, fold).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`par_map_reduce`], reporting a dead PE as [`EdenIncomplete`]
-/// instead of panicking. On success `values` holds exactly one
-/// element — the fold of every task's output (empty for an empty job).
+/// A fold-as-you-go farm: the reduction view of [`try_par_map`].
+/// Worker `w` owns the contiguous task block `block_share(len,
+/// workers, w)`, folds its results locally in ascending task order,
+/// and sends the master **one** partial packet; the master folds the
+/// partials in ascending worker order. Because the blocks are
+/// contiguous and both folds run left-to-right, the overall grouping
+/// is a re-association of the sequential left fold — any
+/// *associative* `fold` therefore reproduces the sequential result
+/// bit-for-bit, regardless of worker count. On success `values` holds
+/// exactly one element — the fold of every task's output (empty for
+/// an empty job); a dead PE is reported as [`EdenIncomplete`] listing
+/// every task of each lost block.
 pub fn try_par_map_reduce<J, F>(
     job: &J,
     cfg: &NativeConfig,
@@ -538,102 +336,46 @@ where
 {
     let workers = cfg.workers.max(1);
     let n = job.len();
-    if n == 0 {
-        return Ok(empty_outcome(cfg));
-    }
-    let fold = &fold;
-    let clock = WallClock::start();
-    let master_id = workers as u32;
-    let ec = Arc::new(EventCount::new());
-    let mut txs = Vec::with_capacity(workers);
-    let mut rxs = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (tx, rx) = bounded_with_notify(cfg.chan_cap, Some(Arc::clone(&ec)));
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let (partials, pe_reports, dead_pes, master_report) = std::thread::scope(|s| {
-        let handles: Vec<_> = txs
-            .into_iter()
-            .enumerate()
-            .map(|(w, tx)| {
-                s.spawn(move || {
-                    let (lo, hi) = block_share(n as u64, workers, w);
-                    let (lo, hi) = (lo as usize, hi as usize);
-                    let mut ep = Endpoint::new(cfg, clock, w as u32);
-                    ep.tbuf.record(NEventKind::RunStart {
-                        tasks: (hi - lo) as u64,
-                    });
-                    let mut acc: Option<J::Out> = None;
-                    if lo < hi {
-                        ep.tbuf.record(NEventKind::ExecStart);
-                        for idx in lo..hi {
-                            let out = job.run(idx);
-                            acc = Some(match acc {
-                                None => out,
-                                Some(a) => fold(a, out),
-                            });
-                        }
-                        ep.stats.ran += (hi - lo) as u64;
-                        ep.tbuf.record(NEventKind::ExecEnd {
-                            count: (hi - lo) as u32,
-                            stolen: false,
-                        });
-                    }
-                    if let Some(partial) = acc {
-                        ep.send(&tx, master_id, "partial", Packet::new(w as u32, partial));
-                    }
-                    ep.tbuf.record(NEventKind::RunEnd);
-                    ep.finish()
-                })
-            })
-            .collect();
-
-        let mut master = Endpoint::new(cfg, clock, master_id);
-        master.tbuf.record(NEventKind::RunStart { tasks: n as u64 });
-        let mut partials: Vec<Option<J::Out>> = (0..workers).map(|_| None).collect();
-        drain_results(&mut master, &ec, &rxs, |master, w, pkt| {
-            master.note_recv(w as u32, pkt.words, "partial");
-            let prev = partials[pkt.idx as usize].replace(pkt.payload);
-            assert!(prev.is_none(), "worker {} sent two partials", pkt.idx);
-        });
-        master.tbuf.record(NEventKind::RunEnd);
-        let (reports, dead) = try_join_all(handles);
-        (partials, reports, dead, master.finish())
-    });
-    let wall = clock.epoch().elapsed();
-
-    // A worker with a non-empty block that delivered no partial lost
-    // its whole block: report those task indices, like the farms do.
-    let mut missing = Vec::new();
-    for (w, slot) in partials.iter().enumerate() {
+    // One partial slot per non-empty block. Every block is non-empty
+    // unless there are more PEs than tasks, in which case each
+    // non-empty block holds one task: slot `s` then covers tasks
+    // `block_share(n, parts, s)` either way.
+    let parts = workers.min(n);
+    let pe = |ep: &mut Endpoint, w: usize, (), res: &Sender<_>| {
         let (lo, hi) = block_share(n as u64, workers, w);
-        if slot.is_none() && lo < hi {
-            missing.extend(lo..hi);
+        let (lo, hi) = (lo as usize, hi as usize);
+        ep.tbuf.record(NEventKind::RunStart {
+            tasks: (hi - lo) as u64,
+        });
+        if lo < hi {
+            let partial = ep.exec(hi - lo, || (lo..hi).map(|i| job.run(i)).reduce(&fold));
+            let slot = if n < workers { lo } else { w };
+            let pkt = Packet::new(slot as u32, partial.expect("non-empty block"));
+            ep.send(res, ep.master(), "partial", pkt);
         }
-    }
-    if !dead_pes.is_empty() || !missing.is_empty() {
-        return Err(EdenIncomplete { dead_pes, missing });
-    }
-    let total = partials
-        .into_iter()
-        .flatten()
-        .reduce(fold)
-        .expect("non-empty job produced no partials");
-    Ok(crate::eden::assemble(
-        cfg,
-        vec![total],
-        wall,
-        pe_reports,
-        master_report,
-    ))
+    };
+    let ctxs = vec![(); workers];
+    run_pes(cfg, n, parts, "partial", ctxs, pe, collect_only)
+        .map(|mut out| {
+            out.values = out.values.into_iter().reduce(&fold).into_iter().collect();
+            out
+        })
+        .map_err(|mut e| {
+            e.missing = (e.missing.iter())
+                .flat_map(|&s| {
+                    let (lo, hi) = block_share(n as u64, parts, s as usize);
+                    lo..hi
+                })
+                .collect();
+            e
+        })
 }
 
 /// A bulk-synchronous, data-partitioned computation for the
-/// [`exchange`] skeleton — the shape iterated simulations (episim's
-/// visit/return rounds) need and the farms cannot express: every PE
-/// *owns* a partition of the data for the whole run, and at each step
-/// boundary the partitions exchange batches all-to-all.
+/// [`try_exchange`] skeleton — the shape iterated simulations
+/// (episim's visit/return rounds) need and the farms cannot express:
+/// every PE *owns* a partition of the data for the whole run, and at
+/// each step boundary the partitions exchange batches all-to-all.
 ///
 /// The skeleton calls [`ExchangeJob::exchange`] `steps()` times per
 /// PE. Step `s` receives the batches emitted by step `s - 1` (one per
@@ -684,27 +426,18 @@ pub trait ExchangeJob: Sync {
 /// ordered PE pair over dedicated SPSC channels (an empty batch is
 /// still framed and sent, so every step delivers exactly one packet
 /// per edge and termination is deterministic). Returns one value per
-/// partition, in partition order. Panics if a PE dies mid-run; see
-/// [`try_exchange`].
-pub fn exchange<X: ExchangeJob>(job: &X, cfg: &NativeConfig) -> NativeOutcome<X::Out> {
-    try_exchange(job, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`exchange`], reporting dead PEs as [`EdenIncomplete`] instead of
-/// panicking. Like [`try_ring`], a dying PE starves its peers' next
-/// step, so expect a cascade naming several PEs.
+/// partition, in partition order. Like [`try_ring`], a dying PE
+/// starves its peers' next step, so expect an [`EdenIncomplete`]
+/// cascade naming several PEs.
 pub fn try_exchange<X: ExchangeJob>(
     job: &X,
     cfg: &NativeConfig,
 ) -> Result<NativeOutcome<X::Out>, EdenIncomplete> {
     let workers = cfg.workers.max(1);
     let steps = job.steps();
-    let clock = WallClock::start();
-    let master_id = workers as u32;
-    let master_ec = Arc::new(EventCount::new());
     // Each PE parks on its own eventcount, pinged by all its inbound
     // edges — the PE-side mirror of the master's multiplexed drain.
-    let pe_ecs: Vec<Arc<EventCount>> = (0..workers).map(|_| Arc::new(EventCount::new())).collect();
+    let ecs: Vec<Arc<EventCount>> = (0..workers).map(|_| Arc::new(EventCount::new())).collect();
 
     // One SPSC channel per ordered PE pair. At most two packets are
     // ever in flight on an edge (src may run one step ahead of dst,
@@ -712,100 +445,54 @@ pub fn try_exchange<X: ExchangeJob>(
     // s+1, which dst sent only after consuming src's step s), so
     // capacity 2 makes every send non-blocking.
     let cap = cfg.chan_cap.max(2);
-    // `edges[src][dst]`, `None` on the diagonal (no self-channel).
-    type EdgeMatrix<T> = Vec<Vec<Option<T>>>;
-    let mut edge_txs: EdgeMatrix<Sender<Packet<X::Batch>>> = (0..workers)
+    // `txs[src][dst]` and `rxs[dst][src]`, `None` on the diagonal (no
+    // self-channel).
+    type Row<T> = Vec<Option<T>>;
+    let mut txs: Vec<Row<Sender<Packet<X::Batch>>>> = (0..workers)
         .map(|_| (0..workers).map(|_| None).collect())
         .collect();
-    let mut edge_rxs: EdgeMatrix<Receiver<Packet<X::Batch>>> = (0..workers)
+    let mut rxs: Vec<Row<Receiver<Packet<X::Batch>>>> = (0..workers)
         .map(|_| (0..workers).map(|_| None).collect())
         .collect();
     for src in 0..workers {
-        for dst in 0..workers {
-            if src == dst {
-                continue;
-            }
-            let (tx, rx) = bounded_with_notify(cap, Some(Arc::clone(&pe_ecs[dst])));
-            edge_txs[src][dst] = Some(tx);
-            edge_rxs[dst][src] = Some(rx);
+        for dst in (0..workers).filter(|&dst| dst != src) {
+            let (tx, rx) = bounded_with_notify(cap, Some(Arc::clone(&ecs[dst])));
+            txs[src][dst] = Some(tx);
+            rxs[dst][src] = Some(rx);
         }
     }
-    let mut res_txs = Vec::with_capacity(workers);
-    let mut res_rxs = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (tx, rx) = bounded_with_notify(cfg.chan_cap, Some(Arc::clone(&master_ec)));
-        res_txs.push(tx);
-        res_rxs.push(rx);
-    }
+    let ctxs: Vec<_> = txs.into_iter().zip(rxs).zip(ecs).collect();
 
-    let (slots, pe_reports, dead_pes, master_report) = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(workers);
-        for (w, res_tx) in res_txs.into_iter().enumerate() {
-            let txs: Vec<Option<Sender<Packet<X::Batch>>>> = std::mem::take(&mut edge_txs[w]);
-            let rxs: Vec<Option<Receiver<Packet<X::Batch>>>> = std::mem::take(&mut edge_rxs[w]);
-            let ec = Arc::clone(&pe_ecs[w]);
-            handles.push(s.spawn(move || {
-                let mut ep = Endpoint::new(cfg, clock, w as u32);
-                ep.tbuf.record(NEventKind::RunStart {
-                    tasks: steps as u64 + 1,
-                });
-                let mut state = job.init(w, workers);
-                let mut inbox: Vec<X::Batch> = (0..workers).map(|_| X::Batch::default()).collect();
-                for step in 0..steps {
-                    ep.tbuf.record(NEventKind::ExecStart);
-                    let out = job.exchange(w, workers, step, &mut state, inbox);
-                    ep.stats.ran += 1;
-                    ep.tbuf.record(NEventKind::ExecEnd {
-                        count: 1,
-                        stolen: false,
-                    });
-                    assert_eq!(
-                        out.len(),
-                        workers,
-                        "exchange step {step} on PE {w}: one outgoing batch per PE required"
-                    );
-                    inbox = (0..workers).map(|_| X::Batch::default()).collect();
-                    for (dst, batch) in out.into_iter().enumerate() {
-                        if dst == w {
-                            inbox[w] = batch;
-                            continue;
-                        }
-                        let tx = txs[dst].as_ref().expect("edge exists for every peer");
-                        let sent =
-                            ep.send(tx, dst as u32, "exchange", Packet::new(step as u32, batch));
-                        assert!(sent, "exchange peer PE {dst} died (channel closed)");
-                    }
-                    recv_step(&mut ep, &ec, &rxs, w, step, &mut inbox);
+    type Ctx<B> = ((Row<Sender<B>>, Row<Receiver<B>>), Arc<EventCount>);
+    let pe = |ep: &mut Endpoint, w: usize, ((txs, rxs), ec): Ctx<_>, res: &Sender<_>| {
+        ep.tbuf.record(NEventKind::RunStart {
+            tasks: steps as u64 + 1,
+        });
+        let mut state = job.init(w, workers);
+        let mut inbox: Vec<X::Batch> = (0..workers).map(|_| X::Batch::default()).collect();
+        for step in 0..steps {
+            let out = ep.exec(1, || job.exchange(w, workers, step, &mut state, inbox));
+            assert_eq!(
+                out.len(),
+                workers,
+                "exchange step {step} on PE {w}: one outgoing batch per PE required"
+            );
+            inbox = (0..workers).map(|_| X::Batch::default()).collect();
+            for (dst, batch) in out.into_iter().enumerate() {
+                if dst == w {
+                    inbox[w] = batch;
+                    continue;
                 }
-                ep.tbuf.record(NEventKind::ExecStart);
-                let out = job.finish(w, workers, state, inbox);
-                ep.stats.ran += 1;
-                ep.tbuf.record(NEventKind::ExecEnd {
-                    count: 1,
-                    stolen: false,
-                });
-                ep.send(&res_tx, master_id, "result", Packet::new(w as u32, out));
-                ep.tbuf.record(NEventKind::RunEnd);
-                ep.finish()
-            }));
+                let tx = txs[dst].as_ref().expect("edge exists for every peer");
+                let sent = ep.send(tx, dst as u32, "exchange", Packet::new(step as u32, batch));
+                assert!(sent, "exchange peer PE {dst} died (channel closed)");
+            }
+            recv_step(ep, &ec, &rxs, w, step, &mut inbox);
         }
-
-        let mut master = Endpoint::new(cfg, clock, master_id);
-        master.tbuf.record(NEventKind::RunStart {
-            tasks: workers as u64,
-        });
-        let mut slots: Vec<Option<X::Out>> = (0..workers).map(|_| None).collect();
-        drain_results(&mut master, &master_ec, &res_rxs, |master, w, pkt| {
-            master.note_recv(w as u32, pkt.words, "result");
-            let prev = slots[pkt.idx as usize].replace(pkt.payload);
-            assert!(prev.is_none(), "partition {} returned twice", pkt.idx);
-        });
-        master.tbuf.record(NEventKind::RunEnd);
-        let (reports, dead) = try_join_all(handles);
-        (slots, reports, dead, master.finish())
-    });
-    let wall = clock.epoch().elapsed();
-    finish_run(cfg, slots, wall, pe_reports, dead_pes, master_report)
+        let out = ep.exec(1, || job.finish(w, workers, state, inbox));
+        ep.send(res, ep.master(), "result", Packet::new(w as u32, out));
+    };
+    run_pes(cfg, workers, workers, "result", ctxs, pe, collect_only)
 }
 
 /// One PE's barrier wait inside [`try_exchange`]: collect exactly one
@@ -903,7 +590,7 @@ mod tests {
     fn par_map_matches_oracle_at_all_pe_counts() {
         for w in PES {
             let cfg = NativeConfig::new(w);
-            let out = par_map(&Squares(257), &cfg);
+            let out = try_par_map(&Squares(257), &cfg).unwrap();
             assert_eq!(out.values, expected(257), "workers={w}");
             check_farm_stats(&out, 257, w);
             // Static deal: PE w gets every workers-th task.
@@ -919,7 +606,7 @@ mod tests {
         for w in PES {
             for prefetch in [1, 2, 4] {
                 let cfg = NativeConfig::new(w);
-                let out = master_worker(&Squares(101), &cfg, prefetch);
+                let out = try_master_worker(&Squares(101), &cfg, prefetch).unwrap();
                 assert_eq!(out.values, expected(101), "workers={w} prefetch={prefetch}");
                 check_farm_stats(&out, 101, w);
             }
@@ -935,10 +622,10 @@ mod tests {
     #[test]
     fn sharded_par_map_spreads_tasks_across_shards() {
         let n = 257usize;
-        let flat = par_map(&Squares(n), &NativeConfig::new(4));
+        let flat = try_par_map(&Squares(n), &NativeConfig::new(4)).unwrap();
         assert_eq!(flat.stats.remote_words, 0);
         let cfg = NativeConfig::new(4).with_topology(2, 2);
-        let out = par_map(&Squares(n), &cfg);
+        let out = try_par_map(&Squares(n), &cfg).unwrap();
         assert_eq!(out.values, expected(n));
         // PE w = s·per_shard + j owns i = shards·j + s + k·workers.
         let want: Vec<u64> = (0..4)
@@ -960,10 +647,10 @@ mod tests {
     /// 1-PE run, and its block counters must stay conservation-sane.
     #[test]
     fn master_worker_oversubscribed_many_pes_on_one_core() {
-        let one = master_worker(&Squares(200), &NativeConfig::new(1), 2);
+        let one = try_master_worker(&Squares(200), &NativeConfig::new(1), 2).unwrap();
         for pes in [16usize, 32, 64] {
             let cfg = NativeConfig::new(pes);
-            let out = master_worker(&Squares(200), &cfg, 2);
+            let out = try_master_worker(&Squares(200), &cfg, 2).unwrap();
             assert_eq!(out.values, one.values, "pes={pes}");
             check_farm_stats(&out, 200, pes);
             // Block episodes are bounded by message traffic plus a
@@ -989,7 +676,7 @@ mod tests {
         // stream close immediately and exit.
         for n in [1usize, 2, 3, 7] {
             for w in [4usize, 8] {
-                let out = master_worker(&Squares(n), &NativeConfig::new(w), 2);
+                let out = try_master_worker(&Squares(n), &NativeConfig::new(w), 2).unwrap();
                 assert_eq!(out.values, expected(n), "n={n} workers={w}");
                 assert_eq!(out.stats.tasks_run, n as u64);
             }
@@ -1001,22 +688,22 @@ mod tests {
         // Capacity-1 channels everywhere: every skeleton must still
         // complete, with senders genuinely blocking along the way.
         let cfg = NativeConfig::new(4).with_chan_cap(1);
-        let out = par_map(&Squares(400), &cfg);
+        let out = try_par_map(&Squares(400), &cfg).unwrap();
         assert_eq!(out.values, expected(400));
-        let out = master_worker(&Squares(400), &cfg, 1);
+        let out = try_master_worker(&Squares(400), &cfg, 1).unwrap();
         assert_eq!(out.values, expected(400));
     }
 
     #[test]
     fn empty_and_single_task_jobs() {
         let cfg = NativeConfig::new(4);
-        let out = par_map(&Squares(0), &cfg);
+        let out = try_par_map(&Squares(0), &cfg).unwrap();
         assert!(out.values.is_empty());
         assert_eq!(out.stats.per_worker, vec![0; 4]);
         assert_eq!(out.stats.msgs_sent, 0);
-        let out = par_map(&Squares(1), &cfg);
+        let out = try_par_map(&Squares(1), &cfg).unwrap();
         assert_eq!(out.values, vec![0]);
-        let out = master_worker(&Squares(1), &cfg, 4);
+        let out = try_master_worker(&Squares(1), &cfg, 4).unwrap();
         assert_eq!(out.values, vec![0]);
     }
 
@@ -1058,7 +745,7 @@ mod tests {
         let seq = (0..n).map(|i| Mats(n).run(i)).reduce(matmul2).unwrap();
         for w in [1, 2, 3, 4, 5, 8, 100] {
             let cfg = NativeConfig::new(w);
-            let out = par_map_reduce(&Mats(n), &cfg, matmul2);
+            let out = try_par_map_reduce(&Mats(n), &cfg, matmul2).unwrap();
             assert_eq!(out.values, vec![seq.clone()], "workers={w}");
             assert_eq!(out.stats.tasks_run, n as u64, "workers={w}");
             // One partial packet per non-empty block, nothing more.
@@ -1069,7 +756,7 @@ mod tests {
 
     #[test]
     fn par_map_reduce_empty_job() {
-        let out = par_map_reduce(&Squares(0), &NativeConfig::new(4), |a, b| a + b);
+        let out = try_par_map_reduce(&Squares(0), &NativeConfig::new(4), |a, b| a + b).unwrap();
         assert!(out.values.is_empty());
         assert_eq!(out.stats.msgs_sent, 0);
     }
@@ -1195,7 +882,7 @@ mod tests {
                 steps: 5,
             };
             let want = exchange_oracle(&job, w);
-            let out = exchange(&job, &NativeConfig::new(w));
+            let out = try_exchange(&job, &NativeConfig::new(w)).unwrap();
             let got: Vec<i64> = out.values.into_iter().flatten().collect();
             assert_eq!(got, want, "workers={w}");
             // One packet per ordered pair per step, plus one result
@@ -1210,7 +897,7 @@ mod tests {
     #[test]
     fn exchange_zero_steps_and_tiny_channels() {
         let job = ToyExchange { cells: 9, steps: 0 };
-        let out = exchange(&job, &NativeConfig::new(3));
+        let out = try_exchange(&job, &NativeConfig::new(3)).unwrap();
         let got: Vec<i64> = out.values.into_iter().flatten().collect();
         assert_eq!(got, exchange_oracle(&job, 3));
         // chan_cap 1 is clamped to 2 internally; must still complete.
@@ -1218,7 +905,7 @@ mod tests {
             cells: 16,
             steps: 7,
         };
-        let out = exchange(&job, &NativeConfig::new(4).with_chan_cap(1));
+        let out = try_exchange(&job, &NativeConfig::new(4).with_chan_cap(1)).unwrap();
         let got: Vec<i64> = out.values.into_iter().flatten().collect();
         assert_eq!(got, exchange_oracle(&job, 4));
     }
@@ -1229,9 +916,9 @@ mod tests {
             cells: 24,
             steps: 4,
         };
-        let flat = exchange(&job, &NativeConfig::new(4));
+        let flat = try_exchange(&job, &NativeConfig::new(4)).unwrap();
         assert_eq!(flat.stats.remote_words, 0);
-        let out = exchange(&job, &NativeConfig::new(4).with_topology(2, 2));
+        let out = try_exchange(&job, &NativeConfig::new(4).with_topology(2, 2)).unwrap();
         let got: Vec<i64> = out.values.into_iter().flatten().collect();
         assert_eq!(got, exchange_oracle(&job, 4));
         // Cross-shard edges carry real batch traffic.
@@ -1279,7 +966,7 @@ mod tests {
         let job = ToyRing(23);
         let want = ring_oracle(&job);
         for w in PES {
-            let out = ring(&job, &NativeConfig::new(w));
+            let out = try_ring(&job, &NativeConfig::new(w)).unwrap();
             assert_eq!(out.values, want, "workers={w}");
             assert_eq!(out.stats.tasks_run, 23 * 23, "workers={w}");
             assert_eq!(out.stats.msgs_sent, out.stats.msgs_recv, "workers={w}");
@@ -1294,25 +981,41 @@ mod tests {
     fn ring_with_more_pes_than_items_still_works() {
         let job = ToyRing(3);
         let want = ring_oracle(&job);
-        let out = ring(&job, &NativeConfig::new(8));
+        let out = try_ring(&job, &NativeConfig::new(8)).unwrap();
         assert_eq!(out.values, want);
         assert_eq!(out.stats.tasks_run, 9);
     }
 
     #[test]
     fn traced_run_reconciles_events_with_counters() {
+        let traced = || NativeConfig::new(3).with_trace();
+        let toy = ToyExchange {
+            cells: 24,
+            steps: 4,
+        };
         for (name, out) in [
-            (
-                "par_map",
-                par_map(&Squares(64), &NativeConfig::new(3).with_trace()),
-            ),
+            ("par_map", try_par_map(&Squares(64), &traced()).unwrap()),
             (
                 "master_worker",
-                master_worker(&Squares(64), &NativeConfig::new(3).with_trace(), 2),
+                try_master_worker(&Squares(64), &traced(), 2).unwrap(),
             ),
             (
                 "ring",
-                ring(&ToyRing(16), &NativeConfig::new(3).with_trace()).map_values(),
+                try_ring(&ToyRing(16), &traced()).unwrap().map_values(),
+            ),
+            (
+                "par_map_reduce",
+                try_par_map_reduce(&Squares(64), &traced(), |a, b| a + b).unwrap(),
+            ),
+            (
+                "exchange",
+                try_exchange(&toy, &traced()).unwrap().map_values(),
+            ),
+            (
+                "exchange chan_cap 1",
+                try_exchange(&toy, &traced().with_chan_cap(1))
+                    .unwrap()
+                    .map_values(),
             ),
         ] {
             assert_eq!(out.trace_dropped, 0, "{name}");
@@ -1334,7 +1037,7 @@ mod tests {
     trait MapValues {
         fn map_values(self) -> NativeOutcome<i64>;
     }
-    impl MapValues for NativeOutcome<Vec<f64>> {
+    impl<T> MapValues for NativeOutcome<Vec<T>> {
         fn map_values(self) -> NativeOutcome<i64> {
             NativeOutcome {
                 values: self.values.iter().map(|v| v.len() as i64).collect(),
@@ -1346,22 +1049,113 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pe_panic_propagates_to_caller() {
-        struct Exploding;
-        impl Job for Exploding {
-            type Out = i64;
-            fn len(&self) -> usize {
-                8
-            }
-            fn run(&self, idx: usize) -> i64 {
-                assert!(idx != 5, "boom");
-                idx as i64
-            }
+    /// Run `f` on its own thread and fail unless it returns within a
+    /// generous deadline: a dead PE must not leave its peers hanging.
+    fn terminates<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let watched = std::thread::spawn(move || tx.send(f()));
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run with a dead PE did not terminate");
+        watched
+            .join()
+            .expect("watched run unwound")
+            .expect("receiver is alive");
+        out
+    }
+
+    /// [`ToyRing`] whose step for item 5 panics at wave 1. Every PE
+    /// needs pivot 5, which only the dying PE could send, so the
+    /// severed ring takes every PE down with it.
+    struct DyingRing(ToyRing);
+
+    impl RingJob for DyingRing {
+        type Item = Vec<f64>;
+        fn len(&self) -> usize {
+            self.0.len()
         }
-        for skel in [Skeleton::ParMap, Skeleton::MasterWorker { prefetch: 2 }] {
-            let r = std::panic::catch_unwind(|| skel.run(&Exploding, &NativeConfig::new(4)));
-            assert!(r.is_err(), "{skel:?}: PE panic must reach the caller");
+        fn init(&self, idx: usize) -> Vec<f64> {
+            self.0.init(idx)
+        }
+        fn step(&self, item: &Vec<f64>, idx: usize, pivot: &Vec<f64>, k: usize) -> Vec<f64> {
+            assert!(!(idx == 5 && k == 1), "boom");
+            self.0.step(item, idx, pivot, k)
+        }
+    }
+
+    #[test]
+    fn dead_pe_in_ring_is_typed_error_naming_every_lost_item() {
+        let n = 16;
+        for w in [1usize, 2, 3, 4, 8] {
+            let err = terminates(move || try_ring(&DyingRing(ToyRing(n)), &NativeConfig::new(w)))
+                .expect_err("a dead PE must fail the run");
+            // Item 5's owner dies first; the cascade then takes every
+            // PE and every item with it.
+            let dying = (0..w).find(|&p| block_share(n as u64, w, p).1 > 5).unwrap();
+            assert!(
+                err.dead_pes.contains(&(dying as u32)),
+                "workers={w}: {err:?}"
+            );
+            let all_pes: Vec<u32> = (0..w as u32).collect();
+            assert_eq!(err.dead_pes, all_pes, "workers={w}");
+            let all_items: Vec<u32> = (0..n as u32).collect();
+            assert_eq!(err.missing, all_items, "workers={w}");
+        }
+    }
+
+    /// [`ToyExchange`] whose partition `parts / 2` panics at step 1,
+    /// before sending that step's batches: every peer is left waiting
+    /// on a closed edge.
+    struct DyingExchange(ToyExchange);
+
+    impl ExchangeJob for DyingExchange {
+        type State = Vec<i64>;
+        type Batch = Vec<i64>;
+        type Out = Vec<i64>;
+        fn steps(&self) -> usize {
+            self.0.steps()
+        }
+        fn init(&self, part: usize, parts: usize) -> Vec<i64> {
+            self.0.init(part, parts)
+        }
+        fn exchange(
+            &self,
+            part: usize,
+            parts: usize,
+            step: usize,
+            state: &mut Vec<i64>,
+            inbox: Vec<Vec<i64>>,
+        ) -> Vec<Vec<i64>> {
+            assert!(!(part == parts / 2 && step == 1), "boom");
+            self.0.exchange(part, parts, step, state, inbox)
+        }
+        fn finish(
+            &self,
+            part: usize,
+            parts: usize,
+            state: Vec<i64>,
+            inbox: Vec<Vec<i64>>,
+        ) -> Vec<i64> {
+            self.0.finish(part, parts, state, inbox)
+        }
+    }
+
+    #[test]
+    fn dead_pe_in_exchange_is_typed_error_naming_every_lost_partition() {
+        for w in [1usize, 2, 3, 4, 8] {
+            let job = DyingExchange(ToyExchange {
+                cells: 23,
+                steps: 3,
+            });
+            let err = terminates(move || try_exchange(&job, &NativeConfig::new(w)))
+                .expect_err("a dead PE must fail the run");
+            assert!(
+                err.dead_pes.contains(&(w as u32 / 2)),
+                "workers={w}: {err:?}"
+            );
+            let all: Vec<u32> = (0..w as u32).collect();
+            assert_eq!(err.dead_pes, all, "workers={w}");
+            assert_eq!(err.missing, all, "workers={w}");
         }
     }
 

@@ -10,7 +10,7 @@
 //! traced and untraced runs produce identical results, and identical
 //! schedules wherever the schedule is deterministic.
 
-use rph_native::{execute, Granularity, Job, NativeConfig};
+use rph_native::{try_execute, Granularity, Job, NativeConfig};
 use rph_trace::{CapId, Counters, State, Timeline};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -66,8 +66,8 @@ fn deterministic_configs() -> Vec<NativeConfig> {
 fn tracing_is_a_pure_observer_results_identical() {
     let job = Squares(500);
     for base in deterministic_configs() {
-        let plain = execute(&job, &base);
-        let traced = execute(&job, &base.clone().with_trace());
+        let plain = try_execute(&job, &base).unwrap();
+        let traced = try_execute(&job, &base.clone().with_trace()).unwrap();
         assert_eq!(plain.values, traced.values, "{base:?}");
         // Deterministic schedule: the full counter set must match too.
         assert_eq!(plain.stats, traced.stats, "{base:?}");
@@ -79,8 +79,8 @@ fn tracing_is_a_pure_observer_results_identical() {
     // and structural invariants must still be untouched by tracing.
     for w in [2, 4] {
         let base = NativeConfig::steal(w);
-        let plain = execute(&job, &base);
-        let traced = execute(&job, &base.clone().with_trace());
+        let plain = try_execute(&job, &base).unwrap();
+        let traced = try_execute(&job, &base.clone().with_trace()).unwrap();
         assert_eq!(plain.values, traced.values, "{base:?}");
         for out in [&plain, &traced] {
             assert_eq!(out.stats.tasks_run, 500);
@@ -106,7 +106,7 @@ fn events_reconcile_with_counters_under_steal_stress() {
                 tasks: 512,
                 iters: 20_000,
             };
-            let out = execute(&job, &cfg);
+            let out = try_execute(&job, &cfg).unwrap();
             assert_eq!(out.values, (0..512).collect::<Vec<u64>>(), "{cfg:?}");
             assert_eq!(
                 out.trace_dropped, 0,
@@ -189,7 +189,7 @@ fn parks_count_idle_episodes_not_timeout_wakeups() {
         others_done: AtomicU64::new(0),
         hold,
     };
-    let out = execute(&job, &NativeConfig::steal(workers).with_trace());
+    let out = try_execute(&job, &NativeConfig::steal(workers).with_trace()).unwrap();
     assert_eq!(out.values, vec![0, 1, 2, 3]);
     assert!(
         out.stats.parks >= 1,
@@ -220,7 +220,7 @@ fn parks_count_idle_episodes_not_timeout_wakeups() {
 #[test]
 fn overflowing_trace_buffer_reports_drops() {
     let cfg = NativeConfig::steal(2).with_trace().with_trace_cap(8);
-    let out = execute(&Squares(500), &cfg);
+    let out = try_execute(&Squares(500), &cfg).unwrap();
     assert_eq!(out.values.len(), 500);
     assert!(
         out.trace_dropped > 0,

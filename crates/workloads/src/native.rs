@@ -8,14 +8,16 @@
 //! * [`BackendKind::Steal`] — each workload is flattened into its
 //!   natural task set (the exact units the GpH version sparks) and
 //!   handed to the Chase–Lev work-stealing executor: one-shot
-//!   workloads through [`rph_native::execute`], the wave-structured
-//!   APSP through a persistent [`rph_native::Pool`] reused across
-//!   pivots.
+//!   workloads through [`rph_native::try_execute`], the iterated
+//!   workloads (APSP's pivot waves, episim's rounds) through
+//!   [`run_iter_on`] on a persistent [`rph_native::Pool`] reused
+//!   across rounds.
 //! * [`BackendKind::Eden`] — the *same* task set runs on the
 //!   message-passing backend through the skeleton each workload's
-//!   Eden program uses: `par_map` for the regular workloads
-//!   (sumEuler, matMul), `master_worker` for irregular nqueens, and
-//!   the `ring` skeleton for APSP's pivot waves.
+//!   Eden program uses: `try_par_map` for the regular workloads
+//!   (sumEuler, matMul), `try_master_worker` for irregular nqueens,
+//!   `try_ring` for APSP's pivot waves and `try_exchange` for
+//!   episim.
 //!
 //! The entry point is one trait, [`NativeWorkload::run_on`], which
 //! dispatches on [`NativeConfig::backend`] and returns a `Result`: a
@@ -204,10 +206,8 @@ pub fn run_flat<W: FlatNative>(w: &W, cfg: &NativeConfig) -> Result<NativeMeasur
 /// visit/return phases both fit: each round materialises a [`Job`]
 /// borrowing the current state, the executor runs it, and `absorb`
 /// folds the round's outputs back into the state before the next
-/// round starts. The runners ([`run_iter_on`] on a persistent pool,
-/// [`run_iter_respawn`] as the spawn-per-round ablation baseline)
-/// accumulate wall time, counters and traces across rounds exactly
-/// like the former hand-rolled APSP loop did.
+/// round starts. The runner, [`run_iter_on`] on a persistent pool,
+/// accumulates wall time, counters and traces across rounds.
 pub trait IterNative: Sync {
     /// State carried across rounds.
     type State: Send;
@@ -253,37 +253,6 @@ pub fn run_iter_on<W: IterNative>(w: &W, pool: &mut Pool) -> Result<NativeMeasur
         let out = {
             let job = w.round_job(round, &state);
             pool.try_execute(&job)?
-        };
-        wall += out.wall;
-        stats.merge(&out.stats);
-        merge_trace(&mut trace, out.trace);
-        trace_dropped += out.trace_dropped;
-        w.absorb(round, &mut state, out.values);
-    }
-    Ok(NativeMeasured {
-        value: w.finish(state),
-        wall,
-        stats,
-        trace,
-        trace_dropped,
-    })
-}
-
-/// The PR 1 shape, kept as the pool-reuse ablation baseline: a fresh
-/// thread pool is spawned and joined for every round.
-pub fn run_iter_respawn<W: IterNative>(
-    w: &W,
-    cfg: &NativeConfig,
-) -> Result<NativeMeasured, JobPanicked> {
-    let mut state = w.init_state();
-    let mut wall = Duration::ZERO;
-    let mut stats = NativeStats::default();
-    let mut trace = None;
-    let mut trace_dropped = 0;
-    for round in 0..w.rounds() {
-        let out = {
-            let job = w.round_job(round, &state);
-            try_execute(&job, cfg)?
         };
         wall += out.wall;
         stats.merge(&out.stats);
@@ -522,9 +491,7 @@ impl NativeWorkload for Apsp {
     /// messages.
     fn run_on(&self, cfg: &NativeConfig) -> Result<NativeMeasured, RunError> {
         match cfg.backend {
-            BackendKind::Steal => self
-                .run_native_on(&mut Pool::new(cfg))
-                .map_err(RunError::from),
+            BackendKind::Steal => run_iter_on(self, &mut Pool::new(cfg)).map_err(RunError::from),
             BackendKind::Eden => {
                 let job = ApspRing {
                     rows: self.input_rows(),
@@ -534,24 +501,6 @@ impl NativeWorkload for Apsp {
                 Ok(measured(value, out))
             }
         }
-    }
-}
-
-impl Apsp {
-    /// The pivot waves on a caller-supplied pool (reusable across
-    /// repetitions as well as waves). The barrier between waves
-    /// replaces the thunk-graph synchronisation the GpH runtime does
-    /// dynamically — coarser, but the same data flow, hence the same
-    /// checksum. A panicking wave surfaces as `Err(JobPanicked)`; the
-    /// pool survives for the caller's next run.
-    pub fn run_native_on(&self, pool: &mut Pool) -> Result<NativeMeasured, JobPanicked> {
-        run_iter_on(self, pool)
-    }
-
-    /// The PR 1 shape, kept as the pool-reuse ablation baseline: a
-    /// fresh thread pool is spawned and joined for every pivot wave.
-    pub fn run_native_respawn(&self, cfg: &NativeConfig) -> Result<NativeMeasured, JobPanicked> {
-        run_iter_respawn(self, cfg)
     }
 }
 
@@ -821,25 +770,12 @@ mod tests {
     }
 
     #[test]
-    fn apsp_pooled_and_respawn_agree_with_oracle() {
-        let w = Apsp::new(16);
-        let expect = w.expected();
-        for cfg in [NativeConfig::steal(3), NativeConfig::push(4)] {
-            let pooled = w.run_on(&cfg).unwrap();
-            let respawn = w.run_native_respawn(&cfg).unwrap();
-            assert_eq!(pooled.value, expect, "{cfg:?}");
-            assert_eq!(respawn.value, expect, "{cfg:?}");
-            assert_eq!(pooled.stats.tasks_run, respawn.stats.tasks_run, "{cfg:?}");
-        }
-    }
-
-    #[test]
     fn shared_pool_serves_repeated_apsp_runs() {
         let w = Apsp::new(10);
         let expect = w.expected();
         let mut pool = Pool::new(&NativeConfig::steal(4));
         for _ in 0..3 {
-            let m = w.run_native_on(&mut pool).unwrap();
+            let m = run_iter_on(&w, &mut pool).unwrap();
             assert_eq!(m.value, expect);
             assert_eq!(m.stats.tasks_run, 100);
         }
