@@ -1,18 +1,21 @@
-//! The native Eden backend's run harness: per-PE endpoints, channel
-//! bookkeeping, the one PE spawn site ([`run_pes`]) and outcome
-//! assembly. Every skeleton in [`crate::skeletons`] is a composition
-//! over [`run_pes`]: its own channel wiring, its PE program and (for
-//! the demand-driven farm alone) a master program.
+//! The native Eden backend's run harness: the persistent PE threads
+//! ([`EdenPool`]), per-PE endpoints, channel bookkeeping, the one run
+//! harness ([`run_pes`]) and outcome assembly. Every skeleton in
+//! [`crate::skeletons`] is a composition over [`run_pes`]: its own
+//! channel wiring, its PE program and (for the demand-driven farm
+//! alone) a master program.
 //!
 //! The execution model is Eden's §II picture on real threads:
 //!
-//! * One OS thread per PE. Each PE's working memory — its task
-//!   results, its ring rows — lives in locals **owned by that
-//!   thread**; there is no shared result heap during compute. The
-//!   only cross-thread traffic is fully-evaluated [`Packet`]s over
-//!   the bounded channels of [`crate::channel`], so the paper's
-//!   "communicate only WHNF data" invariant holds *by construction*:
-//!   a value must be finished before it can be framed and sent.
+//! * One OS thread per PE, spawned by an [`EdenPool`]'s first run and
+//!   reused by every later run on that pool. Within a run, each PE's working
+//!   memory — its task results, its ring rows — lives in locals
+//!   **owned by that thread**; there is no shared result heap during
+//!   compute. The only cross-thread traffic is fully-evaluated
+//!   [`Packet`]s over the bounded channels of [`crate::channel`], so
+//!   the paper's "communicate only WHNF data" invariant holds *by
+//!   construction*: a value must be finished before it can be framed
+//!   and sent.
 //! * The calling thread acts as the **master** PE: it instantiates
 //!   the ring/farm, feeds tasks (master–worker), and collects result
 //!   packets into task order. On trace renders it appears as the last
@@ -31,8 +34,191 @@ use crate::executor::{NativeConfig, NativeOutcome, NativeStats};
 use crate::park::EventCount;
 use crate::trace::{map_events, NEvent, NEventKind, TraceBuf};
 use rph_trace::{CapId, Tracer, WallClock};
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::Duration;
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// One PE's program for one run, lifetime-erased to `'static`; see
+/// the safety comment in [`run_pes`].
+type PeTask = Box<dyn FnOnce() -> PeReport + Send>;
+
+/// Where one PE thread is in its run cycle.
+enum SlotState {
+    /// Between runs.
+    Idle,
+    /// A program is waiting for the PE to pick it up.
+    Posted(PeTask),
+    /// The PE is running the program it took.
+    Running,
+    /// The program returned its report, or (`None`) panicked.
+    Finished(Option<PeReport>),
+    /// The pool is being dropped: the thread returns.
+    Exit,
+}
+
+/// The hand-off point between the master and one PE thread. The
+/// master waits for `Finished`, the PE for `Posted` or `Exit`. Both
+/// sleep on the one condvar, which is why every change notifies all
+/// waiters and each waiter re-checks its own condition when woken.
+struct PeSlot {
+    state: Mutex<SlotState>,
+    cv: Condvar,
+}
+
+impl PeSlot {
+    fn set(&self, next: SlotState) {
+        *lock(&self.state) = next;
+        self.cv.notify_all();
+    }
+
+    /// Sleep on the condvar until `take` accepts the slot's state.
+    fn wait_for<R>(&self, mut take: impl FnMut(&mut SlotState) -> Option<R>) -> R {
+        let mut s = lock(&self.state);
+        loop {
+            if let Some(r) = take(&mut s) {
+                return r;
+            }
+            s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Block until the posted program has finished and take its
+    /// report: `None` if it panicked. Leaves the slot idle.
+    fn wait(&self) -> Option<PeReport> {
+        self.wait_for(|s| match std::mem::replace(s, SlotState::Idle) {
+            SlotState::Finished(report) => Some(report),
+            other => {
+                *s = other;
+                None
+            }
+        })
+    }
+}
+
+/// A PE thread's whole life: run the posted program under
+/// `catch_unwind`, post its report (or, as `None`, its death) and wait
+/// for the next program, until told to exit. A panicking program
+/// leaves the thread alive for the next run; unwinding has already
+/// dropped the program's captures, its channel ends included. A
+/// transient pool's PE instead returns its one report, which the
+/// master takes by joining the thread.
+fn pe_main(slot: Arc<PeSlot>, persistent: bool) -> Option<PeReport> {
+    loop {
+        let next = slot.wait_for(|s| match std::mem::replace(s, SlotState::Running) {
+            SlotState::Posted(task) => Some(Some(task)),
+            SlotState::Exit => Some(None),
+            other => {
+                *s = other;
+                None
+            }
+        });
+        let task = next?;
+        let report = catch_unwind(AssertUnwindSafe(task)).ok();
+        if !persistent {
+            return report;
+        }
+        slot.set(SlotState::Finished(report));
+    }
+}
+
+/// One PE thread and its hand-off slot.
+struct PeThread {
+    slot: Arc<PeSlot>,
+    handle: JoinHandle<Option<PeReport>>,
+}
+
+impl PeThread {
+    /// Spawn PE `w` with its first program already posted, so the
+    /// thread starts on it without waiting for a wake-up. This is the
+    /// only place native PE threads are spawned.
+    fn spawn(w: usize, first: PeTask, persistent: bool) -> PeThread {
+        let slot = Arc::new(PeSlot {
+            state: Mutex::new(SlotState::Posted(first)),
+            cv: Condvar::new(),
+        });
+        let pe_slot = Arc::clone(&slot);
+        let handle = std::thread::Builder::new()
+            .name(format!("rph-eden-pe-{w}"))
+            .spawn(move || pe_main(pe_slot, persistent))
+            .expect("spawn Eden PE");
+        PeThread { slot, handle }
+    }
+}
+
+/// A persistent set of Eden PE threads: the counterpart of the steal
+/// backend's [`crate::Pool`].
+///
+/// The pool spawns one thread per PE on its first run, each with its
+/// first program already posted, and `Drop` joins them; every later
+/// skeleton run (`pool.try_par_map(..)` and its siblings in
+/// [`crate::skeletons`], or [`crate::Skeleton::try_run_on`]) reuses
+/// them. Runs take `&mut self`, so they are strictly sequential per
+/// pool. A PE that panics in one run is reported dead for that run
+/// and serves the next one. The one-shot entry points
+/// ([`crate::try_par_map`] etc.) run on a transient pool instead.
+pub struct EdenPool {
+    cfg: NativeConfig,
+    /// Whether PE threads outlive a run; see [`EdenPool::transient`].
+    persistent: bool,
+    /// Spawned by the first run that reaches its PEs; always empty
+    /// between runs of a transient pool.
+    pes: Vec<PeThread>,
+}
+
+impl EdenPool {
+    /// A pool of `cfg.workers` PEs. Every run on this pool uses
+    /// `cfg`'s per-run settings: tracing, trace buffer size, channel
+    /// capacity and shard topology.
+    pub fn new(cfg: &NativeConfig) -> EdenPool {
+        EdenPool {
+            cfg: cfg.clone(),
+            persistent: true,
+            pes: Vec::new(),
+        }
+    }
+
+    /// A pool whose PEs live for one run: every run spawns them with
+    /// their programs posted and joins them before it returns, so a
+    /// run costs what it cost on scoped threads, spawn and join
+    /// included in `wall`. Keeping idle PEs for a run that never comes
+    /// would add a wake-up per PE to exit them. The one-shot entry
+    /// points' pool.
+    pub(crate) fn transient(cfg: &NativeConfig) -> EdenPool {
+        EdenPool {
+            cfg: cfg.clone(),
+            persistent: false,
+            pes: Vec::new(),
+        }
+    }
+
+    /// Number of PEs.
+    pub fn workers(&self) -> usize {
+        self.cfg.workers.max(1)
+    }
+
+    /// The configuration every run on this pool uses.
+    pub(crate) fn config(&self) -> &NativeConfig {
+        &self.cfg
+    }
+}
+
+impl Drop for EdenPool {
+    fn drop(&mut self) {
+        // Every run has collected its PEs before returning, so each
+        // slot is idle and its thread is waiting.
+        for pe in &self.pes {
+            pe.slot.set(SlotState::Exit);
+        }
+        for pe in self.pes.drain(..) {
+            let _ = pe.handle.join();
+        }
+    }
+}
 
 /// Message counters one endpoint (PE or master) maintains about
 /// itself; summed into [`NativeStats`] at assembly.
@@ -340,24 +526,75 @@ fn finish_run<T>(
     Ok(assemble(cfg, values, wall, pe_reports, master))
 }
 
-/// Join the PE threads, swallowing (already-hooked) panics: a dead
-/// PE contributes an empty report and its id to the returned list,
-/// so the caller can surface a typed error instead of unwinding.
-fn try_join_all(
-    handles: Vec<std::thread::ScopedJoinHandle<'_, PeReport>>,
-) -> (Vec<PeReport>, Vec<u32>) {
-    let mut dead = Vec::new();
-    let reports = handles
-        .into_iter()
-        .enumerate()
-        .map(|(w, h)| {
-            h.join().unwrap_or_else(|_| {
-                dead.push(w as u32);
-                PeReport::default()
+/// Upholds [`run_pes`]' soundness rule: the run's stack frame is not
+/// left — by return or by unwind — while a PE still runs a program
+/// that borrows from it. It owns the master's result receivers, and
+/// on drop it first drops them, so that no PE stays blocked sending
+/// into a master that is gone, then waits for every posted PE. (The
+/// master's own senders, held by its result hook, are dropped before
+/// the guard because the hook is declared after it.)
+struct RunGuard<'p, T> {
+    pes: &'p mut Vec<PeThread>,
+    persistent: bool,
+    /// PEs `0..posted` have been handed a program this run and not
+    /// yet collected.
+    posted: usize,
+    rxs: Vec<Receiver<Packet<T>>>,
+}
+
+impl<T> RunGuard<'_, T> {
+    /// Hand PE `w` its program for this run, spawning the PE if the
+    /// pool has no thread for it yet: on its first run, or on every
+    /// run of a transient pool.
+    fn post(&mut self, w: usize, task: PeTask) {
+        match self.pes.get(w) {
+            Some(pe) => pe.slot.set(SlotState::Posted(task)),
+            None => self.pes.push(PeThread::spawn(w, task, self.persistent)),
+        }
+        self.posted += 1;
+    }
+
+    /// Wait for every posted PE's report, `None` for a PE whose
+    /// program panicked. A transient pool's PEs return their reports
+    /// and are joined.
+    fn collect(&mut self) -> Vec<Option<PeReport>> {
+        let posted = std::mem::take(&mut self.posted);
+        if self.persistent {
+            self.pes[..posted].iter().map(|pe| pe.slot.wait()).collect()
+        } else {
+            self.pes
+                .drain(..)
+                .map(|pe| pe.handle.join().ok().flatten())
+                .collect()
+        }
+    }
+
+    /// Collect every posted PE, swallowing (already-hooked) panics: a
+    /// dead PE contributes an empty report and its id to the returned
+    /// list, so the caller can surface a typed error instead of
+    /// unwinding.
+    fn join(&mut self) -> (Vec<PeReport>, Vec<u32>) {
+        let mut dead = Vec::new();
+        let reports = self
+            .collect()
+            .into_iter()
+            .enumerate()
+            .map(|(w, report)| {
+                report.unwrap_or_else(|| {
+                    dead.push(w as u32);
+                    PeReport::default()
+                })
             })
-        })
-        .collect();
-    (reports, dead)
+            .collect();
+        (reports, dead)
+    }
+}
+
+impl<T> Drop for RunGuard<'_, T> {
+    fn drop(&mut self) {
+        self.rxs.clear();
+        self.collect();
+    }
 }
 
 /// The master program of a skeleton whose master only collects.
@@ -365,23 +602,25 @@ pub(crate) fn collect_only(_: &mut Endpoint) -> impl FnMut(&mut Endpoint, usize)
     |_, _| {}
 }
 
-/// Run one Eden skeleton: the one place native PE threads are spawned.
+/// Run one Eden skeleton on `pool`'s PEs.
 ///
-/// One scoped thread per element of `ctxs` runs `pe(endpoint, w,
-/// ctx, results)`, where `ctx` holds PE `w`'s private channel ends
-/// and `results` is its stream to the master; the harness records
-/// the PE's `RunEnd` after `pe` returns (the PE records its own
-/// `RunStart`). Meanwhile the caller's thread is the master: it
+/// PE `w` of the pool runs `pe(endpoint, w, ctx, results)` for the
+/// `w`-th element `ctx` of `ctxs`, which holds PE `w`'s private
+/// channel ends; `results` is its stream to the master. The harness
+/// records the PE's `RunEnd` after `pe` returns (the PE records its
+/// own `RunStart`). Meanwhile the caller's thread is the master: it
 /// records `RunStart { tasks }`, calls `master` once to prime the run
 /// and gets back a hook invoked with `(endpoint, w)` after each
 /// result packet from PE `w` lands in its slot. Every packet is
 /// tagged `tag` and indexes one of `slots` result slots, each filled
 /// exactly once. When every result stream has closed, the hook is
-/// dropped (closing any channel it owns), the PEs are joined and the
-/// slots become the outcome — or an [`EdenIncomplete`] naming the
+/// dropped (closing any channel it owns), the PEs are collected and
+/// the slots become the outcome — or an [`EdenIncomplete`] naming the
 /// dead PEs and the unfilled slots. `tasks == 0` is the empty run.
+/// Should the master unwind instead, the PEs are released and
+/// collected first (see [`RunGuard`]) and the pool stays usable.
 pub(crate) fn run_pes<T, C, P, M, H>(
-    cfg: &NativeConfig,
+    pool: &mut EdenPool,
     tasks: usize,
     slots: usize,
     tag: &'static str,
@@ -396,6 +635,7 @@ where
     M: FnOnce(&mut Endpoint) -> H,
     H: FnMut(&mut Endpoint, usize),
 {
+    let cfg = &pool.cfg;
     if tasks == 0 {
         return Ok(empty_outcome(cfg));
     }
@@ -407,38 +647,49 @@ where
         .map(|_| bounded_with_notify(cfg.chan_cap, Some(Arc::clone(&ec))))
         .unzip();
     let pe = &pe;
-    let (slots, pe_reports, dead_pes, master_report) = std::thread::scope(|s| {
-        let handles: Vec<_> = ctxs
-            .into_iter()
-            .zip(txs)
-            .enumerate()
-            .map(|(w, (ctx, tx))| {
-                s.spawn(move || {
-                    let mut ep = Endpoint::new(cfg, clock, w as u32);
-                    pe(&mut ep, w, ctx, &tx);
-                    ep.tbuf.record(NEventKind::RunEnd);
-                    ep.finish()
-                })
-            })
-            .collect();
+    let mut guard = RunGuard {
+        pes: &mut pool.pes,
+        persistent: pool.persistent,
+        posted: 0,
+        rxs,
+    };
+    for (w, (ctx, tx)) in ctxs.into_iter().zip(txs).enumerate() {
+        let task: Box<dyn FnOnce() -> PeReport + Send + '_> = Box::new(move || {
+            let mut ep = Endpoint::new(cfg, clock, w as u32);
+            pe(&mut ep, w, ctx, &tx);
+            ep.tbuf.record(NEventKind::RunEnd);
+            ep.finish()
+        });
+        // SAFETY: the program borrows `pe`, `cfg` and whatever `ctx`
+        // borrows, all of which outlive this call. It runs only
+        // between this post and the PE's report (its `Finished`
+        // state, or a transient PE's return value), and it has
+        // dropped all its captures (normally or by unwinding) before
+        // that report exists. `guard` waits for the report of every
+        // posted PE before this frame is left: `join` on the normal
+        // path, `Drop` on every other path, including a master that
+        // unwinds. So no erased borrow is used after it expires.
+        let task: PeTask = unsafe {
+            std::mem::transmute::<Box<dyn FnOnce() -> PeReport + Send + '_>, PeTask>(task)
+        };
+        guard.post(w, task);
+    }
 
-        let mut ep = Endpoint::new(cfg, clock, workers as u32);
-        ep.tbuf.record(NEventKind::RunStart {
-            tasks: tasks as u64,
-        });
-        let mut slots: Vec<Option<T>> = (0..slots).map(|_| None).collect();
-        let mut on_result = master(&mut ep);
-        drain_results(&mut ep, &ec, &rxs, |ep, w, pkt| {
-            ep.note_recv(w as u32, pkt.words, tag);
-            let prev = slots[pkt.idx as usize].replace(pkt.payload);
-            assert!(prev.is_none(), "result {} delivered twice", pkt.idx);
-            on_result(ep, w);
-        });
-        ep.tbuf.record(NEventKind::RunEnd);
-        drop(on_result);
-        let (reports, dead) = try_join_all(handles);
-        (slots, reports, dead, ep.finish())
+    let mut ep = Endpoint::new(cfg, clock, workers as u32);
+    ep.tbuf.record(NEventKind::RunStart {
+        tasks: tasks as u64,
     });
+    let mut slots: Vec<Option<T>> = (0..slots).map(|_| None).collect();
+    let mut on_result = master(&mut ep);
+    drain_results(&mut ep, &ec, &guard.rxs, |ep, w, pkt| {
+        ep.note_recv(w as u32, pkt.words, tag);
+        let prev = slots[pkt.idx as usize].replace(pkt.payload);
+        assert!(prev.is_none(), "result {} delivered twice", pkt.idx);
+        on_result(ep, w);
+    });
+    ep.tbuf.record(NEventKind::RunEnd);
+    drop(on_result);
+    let (pe_reports, dead_pes) = guard.join();
     let wall = clock.epoch().elapsed();
-    finish_run(cfg, slots, wall, pe_reports, dead_pes, master_report)
+    finish_run(cfg, slots, wall, pe_reports, dead_pes, ep.finish())
 }

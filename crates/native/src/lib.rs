@@ -68,9 +68,13 @@
 //!   [`try_master_worker`] (demand-driven farm), [`try_ring`]
 //!   (wavefronts), [`try_par_map_reduce`] (folding farm) and
 //!   [`try_exchange`] (bulk-synchronous all-to-all). All five are
-//!   compositions over one run harness that spawns the PEs, collects
-//!   their result packets on the calling thread and turns a dead PE
-//!   into a typed [`EdenIncomplete`]. Channel sends, receives and
+//!   compositions over one run harness that hands the PE programs to
+//!   an [`EdenPool`]'s PE threads, collects their result packets on
+//!   the calling thread and turns a dead PE into a typed
+//!   [`EdenIncomplete`]. Like [`Pool`], an [`EdenPool`] spawns its
+//!   threads once and serves any number of runs; the free functions
+//!   are the one-shot form, spawning and joining the PEs per call.
+//!   Channel sends, receives and
 //!   blocks land in the same wall-clock trace machinery, so Eden runs
 //!   render the same per-core timelines — now with message events.
 //!
@@ -91,6 +95,7 @@ mod victim;
 
 pub use cancel::CancelToken;
 pub use channel::{bounded, Packet, Receiver, Sender, TrySendError, Wordsize};
+pub use eden::EdenPool;
 pub use error::{EdenIncomplete, JobPanicked, RunError};
 pub use executor::{
     try_execute, BackendKind, Distribution, Granularity, Job, NativeConfig, NativeOutcome,

@@ -24,11 +24,18 @@
 //!
 //! Each skeleton is only what is specific to it — its channel wiring,
 //! its PE program and, for the demand-driven farm, a master program —
-//! composed over the one harness `eden::run_pes`, which spawns the
-//! PEs, collects result packets on the calling (master) thread and
-//! assembles the same [`NativeOutcome`] the steal backend produces:
-//! values in task order, wall time, counters, and (when tracing) one
+//! composed over the one harness `eden::run_pes`, which hands the PE
+//! programs to an [`EdenPool`]'s PE threads, collects
+//! result packets on the calling (master) thread and assembles the
+//! same [`NativeOutcome`] the steal backend produces: values in task
+//! order, wall time, counters, and (when tracing) one
 //! [`rph_trace::Tracer`] row per PE plus one for the master.
+//!
+//! Every skeleton has one body, an [`EdenPool`] method
+//! (`pool.try_par_map(&job)`, …) for callers that keep their PEs
+//! across runs, and a one-shot free function of the same name taking
+//! a [`NativeConfig`], which is that method on a fresh pool whose PEs
+//! are spawned and joined within the call.
 //!
 //! Failure behaviour: a panicking PE drops its channel endpoints,
 //! which unblocks its peers (their sends/recvs observe the close) and
@@ -37,7 +44,7 @@
 //! results were lost; none of them unwinds into the caller.
 
 use crate::channel::{bounded, bounded_with_notify, Packet, Receiver, Sender, Wordsize};
-use crate::eden::{collect_only, run_pes, Endpoint};
+use crate::eden::{collect_only, run_pes, EdenPool, Endpoint};
 use crate::error::EdenIncomplete;
 use crate::executor::{Job, NativeConfig, NativeOutcome};
 use crate::park::EventCount;
@@ -61,8 +68,8 @@ pub enum Skeleton {
 }
 
 impl Skeleton {
-    /// Run `job` under this skeleton, reporting a dead PE as a typed
-    /// [`EdenIncomplete`].
+    /// Run `job` under this skeleton on a fresh [`EdenPool`],
+    /// reporting a dead PE as a typed [`EdenIncomplete`].
     pub fn try_run<J>(
         self,
         job: &J,
@@ -72,53 +79,36 @@ impl Skeleton {
         J: Job,
         J::Out: Wordsize,
     {
+        self.try_run_on(&mut EdenPool::transient(cfg), job)
+    }
+
+    /// [`Self::try_run`] on `pool`'s persistent PEs.
+    pub fn try_run_on<J>(
+        self,
+        pool: &mut EdenPool,
+        job: &J,
+    ) -> Result<NativeOutcome<J::Out>, EdenIncomplete>
+    where
+        J: Job,
+        J::Out: Wordsize,
+    {
         match self {
-            Skeleton::ParMap => try_par_map(job, cfg),
-            Skeleton::MasterWorker { prefetch } => try_master_worker(job, cfg, prefetch),
+            Skeleton::ParMap => pool.try_par_map(job),
+            Skeleton::MasterWorker { prefetch } => pool.try_master_worker(job, prefetch),
         }
     }
 }
 
-/// Static farm: task `i` runs on PE `i mod workers`; every PE streams
-/// `(index, value)` result packets to the master, which collects them
-/// into task order. A dead PE is reported as [`EdenIncomplete`].
+/// [`EdenPool::try_par_map`] on a fresh pool.
 pub fn try_par_map<J>(job: &J, cfg: &NativeConfig) -> Result<NativeOutcome<J::Out>, EdenIncomplete>
 where
     J: Job,
     J::Out: Wordsize,
 {
-    let workers = cfg.workers.max(1);
-    let shards = cfg.shards.max(1);
-    let per_shard = workers / shards;
-    let n = job.len();
-    let pe = |ep: &mut Endpoint, w: usize, (), res: &Sender<_>| {
-        // Shard-aware static deal: task `i` lands on PE `(i mod
-        // shards)·per_shard + (i/shards mod per_shard)` — round-robin
-        // across shards first, then within the shard, so a short job
-        // still spreads over every shard. PE `w = s·per_shard+j`
-        // therefore owns `i = shards·j + s + k·workers`. With one
-        // shard this is exactly `i mod workers`.
-        let first = shards * (w % per_shard) + w / per_shard;
-        let mine = n.saturating_sub(first).div_ceil(workers) as u64;
-        ep.tbuf.record(NEventKind::RunStart { tasks: mine });
-        for idx in (first..n).step_by(workers) {
-            let out = ep.exec(1, || job.run(idx));
-            if !ep.send(res, ep.master(), "result", Packet::new(idx as u32, out)) {
-                break; // master gone: unwinding already
-            }
-        }
-    };
-    run_pes(cfg, n, n, "result", vec![(); workers], pe, collect_only)
+    EdenPool::transient(cfg).try_par_map(job)
 }
 
-/// Demand-driven farm: the master primes each worker with `prefetch`
-/// task packets, then releases one new task per result received —
-/// irregular tasks (nqueens subtrees) flow to whoever is free. With
-/// fewer tasks than PEs the surplus workers receive an immediately
-/// closed task stream and exit without deadlocking. Tasks already
-/// handed to a PE that dies are lost (their indices land in
-/// [`EdenIncomplete::missing`]), while the remaining tasks keep
-/// flowing to the surviving PEs.
+/// [`EdenPool::try_master_worker`] on a fresh pool.
 pub fn try_master_worker<J>(
     job: &J,
     cfg: &NativeConfig,
@@ -128,82 +118,166 @@ where
     J: Job,
     J::Out: Wordsize,
 {
-    let workers = cfg.workers.max(1);
-    let n = job.len();
-    let prefetch = prefetch.max(1);
-    // Task channel depth = prefetch: the master never sends more than
-    // `prefetch` undelivered tasks, so it never blocks here.
-    let (task_txs, task_rxs): (Vec<_>, Vec<_>) = (0..workers)
-        .map(|_| {
-            let (tx, rx) = bounded(prefetch);
-            (Some(tx), rx)
-        })
-        .unzip();
+    EdenPool::transient(cfg).try_master_worker(job, prefetch)
+}
 
-    let pe = |ep: &mut Endpoint, _: usize, task_rx: Receiver<Packet<()>>, res: &Sender<_>| {
-        ep.tbuf.record(NEventKind::RunStart { tasks: 0 });
-        while let Some(pkt) = ep.recv(&task_rx, ep.master(), "task") {
-            let out = ep.exec(1, || job.run(pkt.idx as usize));
-            if !ep.send(res, ep.master(), "result", Packet::new(pkt.idx, out)) {
-                break;
-            }
-        }
-    };
+/// [`EdenPool::try_ring`] on a fresh pool.
+pub fn try_ring<R: RingJob>(
+    job: &R,
+    cfg: &NativeConfig,
+) -> Result<NativeOutcome<R::Item>, EdenIncomplete> {
+    EdenPool::transient(cfg).try_ring(job)
+}
 
-    /// The master's task dispenser: hands out task indices in order
-    /// and closes each worker's stream once nothing is left for it.
-    struct Feeder {
-        txs: Vec<Option<Sender<Packet<()>>>>,
-        outstanding: Vec<usize>,
-        next: usize,
-        n: usize,
-    }
-    impl Feeder {
-        /// Hand the next task to worker `w` (no-op if its stream is
-        /// already closed, e.g. because the worker died).
-        fn feed(&mut self, master: &mut Endpoint, w: usize) {
-            if let Some(tx) = &self.txs[w] {
-                if master.send(tx, w as u32, "task", Packet::new(self.next as u32, ())) {
-                    self.outstanding[w] += 1;
-                    self.next += 1;
-                } else {
-                    self.txs[w] = None;
+/// [`EdenPool::try_par_map_reduce`] on a fresh pool.
+pub fn try_par_map_reduce<J, F>(
+    job: &J,
+    cfg: &NativeConfig,
+    fold: F,
+) -> Result<NativeOutcome<J::Out>, EdenIncomplete>
+where
+    J: Job,
+    J::Out: Wordsize,
+    F: Fn(J::Out, J::Out) -> J::Out + Sync,
+{
+    EdenPool::transient(cfg).try_par_map_reduce(job, fold)
+}
+
+/// [`EdenPool::try_exchange`] on a fresh pool.
+pub fn try_exchange<X: ExchangeJob>(
+    job: &X,
+    cfg: &NativeConfig,
+) -> Result<NativeOutcome<X::Out>, EdenIncomplete> {
+    EdenPool::transient(cfg).try_exchange(job)
+}
+
+impl EdenPool {
+    /// Static farm: task `i` runs on PE `i mod workers`; every PE streams
+    /// `(index, value)` result packets to the master, which collects them
+    /// into task order. A dead PE is reported as [`EdenIncomplete`].
+    pub fn try_par_map<J>(&mut self, job: &J) -> Result<NativeOutcome<J::Out>, EdenIncomplete>
+    where
+        J: Job,
+        J::Out: Wordsize,
+    {
+        let workers = self.workers();
+        let shards = self.config().shards.max(1);
+        let per_shard = workers / shards;
+        let n = job.len();
+        let pe = |ep: &mut Endpoint, w: usize, (), res: &Sender<_>| {
+            // Shard-aware static deal: task `i` lands on PE `(i mod
+            // shards)·per_shard + (i/shards mod per_shard)` — round-robin
+            // across shards first, then within the shard, so a short job
+            // still spreads over every shard. PE `w = s·per_shard+j`
+            // therefore owns `i = shards·j + s + k·workers`. With one
+            // shard this is exactly `i mod workers`.
+            let first = shards * (w % per_shard) + w / per_shard;
+            let mine = n.saturating_sub(first).div_ceil(workers) as u64;
+            ep.tbuf.record(NEventKind::RunStart { tasks: mine });
+            for idx in (first..n).step_by(workers) {
+                let out = ep.exec(1, || job.run(idx));
+                if !ep.send(res, ep.master(), "result", Packet::new(idx as u32, out)) {
+                    break; // master gone: unwinding already
                 }
             }
-        }
-    }
-    let master = |ep: &mut Endpoint| {
-        let mut f = Feeder {
-            txs: task_txs,
-            outstanding: vec![0; workers],
-            next: 0,
-            n,
         };
-        // Prime every worker, round-robin so a tiny task bag still
-        // spreads across PEs; then close streams that got nothing.
-        'prime: for _ in 0..prefetch {
-            for w in 0..workers {
-                if f.next >= n {
-                    break 'prime;
+        run_pes(self, n, n, "result", vec![(); workers], pe, collect_only)
+    }
+
+    /// Demand-driven farm: the master primes each worker with `prefetch`
+    /// task packets, then releases one new task per result received —
+    /// irregular tasks (nqueens subtrees) flow to whoever is free. With
+    /// fewer tasks than PEs the surplus workers receive an immediately
+    /// closed task stream and exit without deadlocking. Tasks already
+    /// handed to a PE that dies are lost (their indices land in
+    /// [`EdenIncomplete::missing`]), while the remaining tasks keep
+    /// flowing to the surviving PEs.
+    pub fn try_master_worker<J>(
+        &mut self,
+        job: &J,
+        prefetch: usize,
+    ) -> Result<NativeOutcome<J::Out>, EdenIncomplete>
+    where
+        J: Job,
+        J::Out: Wordsize,
+    {
+        let workers = self.workers();
+        let n = job.len();
+        let prefetch = prefetch.max(1);
+        // Task channel depth = prefetch: the master never sends more than
+        // `prefetch` undelivered tasks, so it never blocks here.
+        let (task_txs, task_rxs): (Vec<_>, Vec<_>) = (0..workers)
+            .map(|_| {
+                let (tx, rx) = bounded(prefetch);
+                (Some(tx), rx)
+            })
+            .unzip();
+
+        let pe = |ep: &mut Endpoint, _: usize, task_rx: Receiver<Packet<()>>, res: &Sender<_>| {
+            ep.tbuf.record(NEventKind::RunStart { tasks: 0 });
+            while let Some(pkt) = ep.recv(&task_rx, ep.master(), "task") {
+                let out = ep.exec(1, || job.run(pkt.idx as usize));
+                if !ep.send(res, ep.master(), "result", Packet::new(pkt.idx, out)) {
+                    break;
                 }
-                f.feed(ep, w);
+            }
+        };
+
+        /// The master's task dispenser: hands out task indices in order
+        /// and closes each worker's stream once nothing is left for it.
+        struct Feeder {
+            txs: Vec<Option<Sender<Packet<()>>>>,
+            outstanding: Vec<usize>,
+            next: usize,
+            n: usize,
+        }
+        impl Feeder {
+            /// Hand the next task to worker `w` (no-op if its stream is
+            /// already closed, e.g. because the worker died).
+            fn feed(&mut self, master: &mut Endpoint, w: usize) {
+                if let Some(tx) = &self.txs[w] {
+                    if master.send(tx, w as u32, "task", Packet::new(self.next as u32, ())) {
+                        self.outstanding[w] += 1;
+                        self.next += 1;
+                    } else {
+                        self.txs[w] = None;
+                    }
+                }
             }
         }
-        for w in 0..workers {
-            if f.next >= n && f.outstanding[w] == 0 {
-                f.txs[w] = None;
+        let master = |ep: &mut Endpoint| {
+            let mut f = Feeder {
+                txs: task_txs,
+                outstanding: vec![0; workers],
+                next: 0,
+                n,
+            };
+            // Prime every worker, round-robin so a tiny task bag still
+            // spreads across PEs; then close streams that got nothing.
+            'prime: for _ in 0..prefetch {
+                for w in 0..workers {
+                    if f.next >= n {
+                        break 'prime;
+                    }
+                    f.feed(ep, w);
+                }
             }
-        }
-        move |ep: &mut Endpoint, w: usize| {
-            f.outstanding[w] -= 1;
-            if f.next < f.n {
-                f.feed(ep, w);
-            } else if f.outstanding[w] == 0 {
-                f.txs[w] = None;
+            for w in 0..workers {
+                if f.next >= n && f.outstanding[w] == 0 {
+                    f.txs[w] = None;
+                }
             }
-        }
-    };
-    run_pes(cfg, n, n, "result", task_rxs, pe, master)
+            move |ep: &mut Endpoint, w: usize| {
+                f.outstanding[w] -= 1;
+                if f.next < f.n {
+                    f.feed(ep, w);
+                } else if f.outstanding[w] == 0 {
+                    f.txs[w] = None;
+                }
+            }
+        };
+        run_pes(self, n, n, "result", task_rxs, pe, master)
+    }
 }
 
 /// A wave-structured computation for the [`try_ring`] skeleton: `len`
@@ -231,144 +305,147 @@ pub trait RingJob: Sync {
     fn step(&self, item: &Self::Item, idx: usize, pivot: &Self::Item, k: usize) -> Self::Item;
 }
 
-/// Ring skeleton: PE `w` owns the contiguous item block
-/// `block_share(len, workers, w)` as private memory for the whole
-/// run. At wave `k` the owner of item `k` clones its current state as
-/// the pivot and sends it to its ring successor; every other PE
-/// receives the pivot from its predecessor, forwards it (unless the
-/// successor is the owner, which already has it) and updates its
-/// block. After the last wave each PE streams its block back to the
-/// master. One pivot thus crosses each ring edge at most once per
-/// wave — `workers - 1` sends per wave, never `workers²`. A dying PE
-/// severs the ring, so its neighbours' waves cannot complete either:
-/// expect an [`EdenIncomplete`] cascade where several (often all) PEs
-/// land in [`EdenIncomplete::dead_pes`].
-pub fn try_ring<R: RingJob>(
-    job: &R,
-    cfg: &NativeConfig,
-) -> Result<NativeOutcome<R::Item>, EdenIncomplete> {
-    let workers = cfg.workers.max(1);
-    let n = job.len();
-    // owner[k] = PE whose block contains item k, under the same block
-    // partition the PEs themselves compute.
-    let mut owner = vec![0u32; n];
-    for w in 0..workers {
-        let (lo, hi) = block_share(n as u64, workers, w);
-        owner[lo as usize..hi as usize].fill(w as u32);
-    }
-    // Ring edge `w` runs from PE `w-1` into PE `w`: PE `w` receives on
-    // edge `w` and sends on edge `w+1`.
-    let (mut ring_txs, ring_rxs): (Vec<_>, Vec<_>) =
-        (0..workers).map(|_| bounded(cfg.chan_cap)).unzip();
-    ring_txs.rotate_left(1);
-    let edges: Vec<_> = ring_txs.into_iter().zip(ring_rxs).collect();
+impl EdenPool {
+    /// Ring skeleton: PE `w` owns the contiguous item block
+    /// `block_share(len, workers, w)` as private memory for the whole
+    /// run. At wave `k` the owner of item `k` clones its current state as
+    /// the pivot and sends it to its ring successor; every other PE
+    /// receives the pivot from its predecessor, forwards it (unless the
+    /// successor is the owner, which already has it) and updates its
+    /// block. After the last wave each PE streams its block back to the
+    /// master. One pivot thus crosses each ring edge at most once per
+    /// wave — `workers - 1` sends per wave, never `workers²`. A dying PE
+    /// severs the ring, so its neighbours' waves cannot complete either:
+    /// expect an [`EdenIncomplete`] cascade where several (often all) PEs
+    /// land in [`EdenIncomplete::dead_pes`].
+    pub fn try_ring<R: RingJob>(
+        &mut self,
+        job: &R,
+    ) -> Result<NativeOutcome<R::Item>, EdenIncomplete> {
+        let workers = self.workers();
+        let chan_cap = self.config().chan_cap;
+        let n = job.len();
+        // owner[k] = PE whose block contains item k, under the same block
+        // partition the PEs themselves compute.
+        let mut owner = vec![0u32; n];
+        for w in 0..workers {
+            let (lo, hi) = block_share(n as u64, workers, w);
+            owner[lo as usize..hi as usize].fill(w as u32);
+        }
+        // Ring edge `w` runs from PE `w-1` into PE `w`: PE `w` receives on
+        // edge `w` and sends on edge `w+1`.
+        let (mut ring_txs, ring_rxs): (Vec<_>, Vec<_>) =
+            (0..workers).map(|_| bounded(chan_cap)).unzip();
+        ring_txs.rotate_left(1);
+        let edges: Vec<_> = ring_txs.into_iter().zip(ring_rxs).collect();
 
-    let pe = |ep: &mut Endpoint, w: usize, (ring_tx, ring_rx), res: &Sender<_>| {
-        let succ = (w + 1) % workers;
-        let pred = (w + workers - 1) % workers;
-        let (lo, hi) = block_share(n as u64, workers, w);
-        let (lo, hi) = (lo as usize, hi as usize);
-        ep.tbuf.record(NEventKind::RunStart {
-            tasks: ((hi - lo) * n) as u64,
-        });
-        let mut items: Vec<R::Item> = (lo..hi).map(|i| job.init(i)).collect();
-        for k in 0..n {
-            let own = owner[k] as usize;
-            let pivot = if own == w {
-                let pivot = items[k - lo].clone();
-                if workers > 1 {
-                    let pkt = Packet::new(k as u32, pivot.clone());
-                    ep.send(&ring_tx, succ as u32, "ring", pkt);
-                }
-                pivot
-            } else {
-                let pkt: Packet<R::Item> = ep
-                    .recv(&ring_rx, pred as u32, "ring")
-                    .expect("ring closed mid-wave (peer PE died)");
-                debug_assert_eq!(pkt.idx as usize, k, "pivot arrived out of wave order");
-                if succ != own {
-                    let fwd = Packet::new(k as u32, pkt.payload.clone());
-                    ep.send(&ring_tx, succ as u32, "ring", fwd);
-                }
-                pkt.payload
-            };
-            if !items.is_empty() {
-                ep.exec(hi - lo, || {
-                    for (off, item) in items.iter_mut().enumerate() {
-                        if lo + off != k {
-                            *item = job.step(item, lo + off, &pivot, k);
-                        }
+        let pe = |ep: &mut Endpoint, w: usize, (ring_tx, ring_rx), res: &Sender<_>| {
+            let succ = (w + 1) % workers;
+            let pred = (w + workers - 1) % workers;
+            let (lo, hi) = block_share(n as u64, workers, w);
+            let (lo, hi) = (lo as usize, hi as usize);
+            ep.tbuf.record(NEventKind::RunStart {
+                tasks: ((hi - lo) * n) as u64,
+            });
+            let mut items: Vec<R::Item> = (lo..hi).map(|i| job.init(i)).collect();
+            for k in 0..n {
+                let own = owner[k] as usize;
+                let pivot = if own == w {
+                    let pivot = items[k - lo].clone();
+                    if workers > 1 {
+                        let pkt = Packet::new(k as u32, pivot.clone());
+                        ep.send(&ring_tx, succ as u32, "ring", pkt);
                     }
-                });
+                    pivot
+                } else {
+                    let pkt: Packet<R::Item> = ep
+                        .recv(&ring_rx, pred as u32, "ring")
+                        .expect("ring closed mid-wave (peer PE died)");
+                    debug_assert_eq!(pkt.idx as usize, k, "pivot arrived out of wave order");
+                    if succ != own {
+                        let fwd = Packet::new(k as u32, pkt.payload.clone());
+                        ep.send(&ring_tx, succ as u32, "ring", fwd);
+                    }
+                    pkt.payload
+                };
+                if !items.is_empty() {
+                    ep.exec(hi - lo, || {
+                        for (off, item) in items.iter_mut().enumerate() {
+                            if lo + off != k {
+                                *item = job.step(item, lo + off, &pivot, k);
+                            }
+                        }
+                    });
+                }
             }
-        }
-        drop(ring_tx);
-        for (idx, item) in (lo as u32..).zip(items) {
-            if !ep.send(res, ep.master(), "result", Packet::new(idx, item)) {
-                break;
+            drop(ring_tx);
+            for (idx, item) in (lo as u32..).zip(items) {
+                if !ep.send(res, ep.master(), "result", Packet::new(idx, item)) {
+                    break;
+                }
             }
-        }
-    };
-    run_pes(cfg, n, n, "result", edges, pe, collect_only)
-}
+        };
+        run_pes(self, n, n, "result", edges, pe, collect_only)
+    }
 
-/// A fold-as-you-go farm: the reduction view of [`try_par_map`].
-/// Worker `w` owns the contiguous task block `block_share(len,
-/// workers, w)`, folds its results locally in ascending task order,
-/// and sends the master **one** partial packet; the master folds the
-/// partials in ascending worker order. Because the blocks are
-/// contiguous and both folds run left-to-right, the overall grouping
-/// is a re-association of the sequential left fold — any
-/// *associative* `fold` therefore reproduces the sequential result
-/// bit-for-bit, regardless of worker count. On success `values` holds
-/// exactly one element — the fold of every task's output (empty for
-/// an empty job); a dead PE is reported as [`EdenIncomplete`] listing
-/// every task of each lost block.
-pub fn try_par_map_reduce<J, F>(
-    job: &J,
-    cfg: &NativeConfig,
-    fold: F,
-) -> Result<NativeOutcome<J::Out>, EdenIncomplete>
-where
-    J: Job,
-    J::Out: Wordsize,
-    F: Fn(J::Out, J::Out) -> J::Out + Sync,
-{
-    let workers = cfg.workers.max(1);
-    let n = job.len();
-    // One partial slot per non-empty block. Every block is non-empty
-    // unless there are more PEs than tasks, in which case each
-    // non-empty block holds one task: slot `s` then covers tasks
-    // `block_share(n, parts, s)` either way.
-    let parts = workers.min(n);
-    let pe = |ep: &mut Endpoint, w: usize, (), res: &Sender<_>| {
-        let (lo, hi) = block_share(n as u64, workers, w);
-        let (lo, hi) = (lo as usize, hi as usize);
-        ep.tbuf.record(NEventKind::RunStart {
-            tasks: (hi - lo) as u64,
-        });
-        if lo < hi {
-            let partial = ep.exec(hi - lo, || (lo..hi).map(|i| job.run(i)).reduce(&fold));
-            let slot = if n < workers { lo } else { w };
-            let pkt = Packet::new(slot as u32, partial.expect("non-empty block"));
-            ep.send(res, ep.master(), "partial", pkt);
-        }
-    };
-    let ctxs = vec![(); workers];
-    run_pes(cfg, n, parts, "partial", ctxs, pe, collect_only)
-        .map(|mut out| {
-            out.values = out.values.into_iter().reduce(&fold).into_iter().collect();
-            out
-        })
-        .map_err(|mut e| {
-            e.missing = (e.missing.iter())
-                .flat_map(|&s| {
-                    let (lo, hi) = block_share(n as u64, parts, s as usize);
-                    lo..hi
-                })
-                .collect();
-            e
-        })
+    /// A fold-as-you-go farm: the reduction view of [`try_par_map`].
+    /// Worker `w` owns the contiguous task block `block_share(len,
+    /// workers, w)`, folds its results locally in ascending task order,
+    /// and sends the master **one** partial packet; the master folds the
+    /// partials in ascending worker order. Because the blocks are
+    /// contiguous and both folds run left-to-right, the overall grouping
+    /// is a re-association of the sequential left fold — any
+    /// *associative* `fold` therefore reproduces the sequential result
+    /// bit-for-bit, regardless of worker count. On success `values` holds
+    /// exactly one element — the fold of every task's output (empty for
+    /// an empty job); a dead PE is reported as [`EdenIncomplete`] listing
+    /// every task of each lost block.
+    pub fn try_par_map_reduce<J, F>(
+        &mut self,
+        job: &J,
+        fold: F,
+    ) -> Result<NativeOutcome<J::Out>, EdenIncomplete>
+    where
+        J: Job,
+        J::Out: Wordsize,
+        F: Fn(J::Out, J::Out) -> J::Out + Sync,
+    {
+        let workers = self.workers();
+        let n = job.len();
+        // One partial slot per non-empty block. Every block is non-empty
+        // unless there are more PEs than tasks, in which case each
+        // non-empty block holds one task: slot `s` then covers tasks
+        // `block_share(n, parts, s)` either way.
+        let parts = workers.min(n);
+        let pe = |ep: &mut Endpoint, w: usize, (), res: &Sender<_>| {
+            let (lo, hi) = block_share(n as u64, workers, w);
+            let (lo, hi) = (lo as usize, hi as usize);
+            ep.tbuf.record(NEventKind::RunStart {
+                tasks: (hi - lo) as u64,
+            });
+            if lo < hi {
+                let partial = ep.exec(hi - lo, || (lo..hi).map(|i| job.run(i)).reduce(&fold));
+                let slot = if n < workers { lo } else { w };
+                let pkt = Packet::new(slot as u32, partial.expect("non-empty block"));
+                ep.send(res, ep.master(), "partial", pkt);
+            }
+        };
+        let ctxs = vec![(); workers];
+        run_pes(self, n, parts, "partial", ctxs, pe, collect_only)
+            .map(|mut out| {
+                out.values = out.values.into_iter().reduce(&fold).into_iter().collect();
+                out
+            })
+            .map_err(|mut e| {
+                e.missing = (e.missing.iter())
+                    .flat_map(|&s| {
+                        let (lo, hi) = block_share(n as u64, parts, s as usize);
+                        lo..hi
+                    })
+                    .collect();
+                e
+            })
+    }
 }
 
 /// A bulk-synchronous, data-partitioned computation for the
@@ -421,78 +498,80 @@ pub trait ExchangeJob: Sync {
     ) -> Self::Out;
 }
 
-/// Round-barrier exchange skeleton: `workers` PEs each own one
-/// partition; each step runs locally and then exchanges one batch per
-/// ordered PE pair over dedicated SPSC channels (an empty batch is
-/// still framed and sent, so every step delivers exactly one packet
-/// per edge and termination is deterministic). Returns one value per
-/// partition, in partition order. Like [`try_ring`], a dying PE
-/// starves its peers' next step, so expect an [`EdenIncomplete`]
-/// cascade naming several PEs.
-pub fn try_exchange<X: ExchangeJob>(
-    job: &X,
-    cfg: &NativeConfig,
-) -> Result<NativeOutcome<X::Out>, EdenIncomplete> {
-    let workers = cfg.workers.max(1);
-    let steps = job.steps();
-    // Each PE parks on its own eventcount, pinged by all its inbound
-    // edges — the PE-side mirror of the master's multiplexed drain.
-    let ecs: Vec<Arc<EventCount>> = (0..workers).map(|_| Arc::new(EventCount::new())).collect();
+impl EdenPool {
+    /// Round-barrier exchange skeleton: `workers` PEs each own one
+    /// partition; each step runs locally and then exchanges one batch per
+    /// ordered PE pair over dedicated SPSC channels (an empty batch is
+    /// still framed and sent, so every step delivers exactly one packet
+    /// per edge and termination is deterministic). Returns one value per
+    /// partition, in partition order. Like [`try_ring`], a dying PE
+    /// starves its peers' next step, so expect an [`EdenIncomplete`]
+    /// cascade naming several PEs.
+    pub fn try_exchange<X: ExchangeJob>(
+        &mut self,
+        job: &X,
+    ) -> Result<NativeOutcome<X::Out>, EdenIncomplete> {
+        let workers = self.workers();
+        let steps = job.steps();
+        // Each PE parks on its own eventcount, pinged by all its inbound
+        // edges — the PE-side mirror of the master's multiplexed drain.
+        let ecs: Vec<Arc<EventCount>> = (0..workers).map(|_| Arc::new(EventCount::new())).collect();
 
-    // One SPSC channel per ordered PE pair. At most two packets are
-    // ever in flight on an edge (src may run one step ahead of dst,
-    // never two: sending step s+2 requires having received dst's step
-    // s+1, which dst sent only after consuming src's step s), so
-    // capacity 2 makes every send non-blocking.
-    let cap = cfg.chan_cap.max(2);
-    // `txs[src][dst]` and `rxs[dst][src]`, `None` on the diagonal (no
-    // self-channel).
-    type Row<T> = Vec<Option<T>>;
-    let mut txs: Vec<Row<Sender<Packet<X::Batch>>>> = (0..workers)
-        .map(|_| (0..workers).map(|_| None).collect())
-        .collect();
-    let mut rxs: Vec<Row<Receiver<Packet<X::Batch>>>> = (0..workers)
-        .map(|_| (0..workers).map(|_| None).collect())
-        .collect();
-    for src in 0..workers {
-        for dst in (0..workers).filter(|&dst| dst != src) {
-            let (tx, rx) = bounded_with_notify(cap, Some(Arc::clone(&ecs[dst])));
-            txs[src][dst] = Some(tx);
-            rxs[dst][src] = Some(rx);
-        }
-    }
-    let ctxs: Vec<_> = txs.into_iter().zip(rxs).zip(ecs).collect();
-
-    type Ctx<B> = ((Row<Sender<B>>, Row<Receiver<B>>), Arc<EventCount>);
-    let pe = |ep: &mut Endpoint, w: usize, ((txs, rxs), ec): Ctx<_>, res: &Sender<_>| {
-        ep.tbuf.record(NEventKind::RunStart {
-            tasks: steps as u64 + 1,
-        });
-        let mut state = job.init(w, workers);
-        let mut inbox: Vec<X::Batch> = (0..workers).map(|_| X::Batch::default()).collect();
-        for step in 0..steps {
-            let out = ep.exec(1, || job.exchange(w, workers, step, &mut state, inbox));
-            assert_eq!(
-                out.len(),
-                workers,
-                "exchange step {step} on PE {w}: one outgoing batch per PE required"
-            );
-            inbox = (0..workers).map(|_| X::Batch::default()).collect();
-            for (dst, batch) in out.into_iter().enumerate() {
-                if dst == w {
-                    inbox[w] = batch;
-                    continue;
-                }
-                let tx = txs[dst].as_ref().expect("edge exists for every peer");
-                let sent = ep.send(tx, dst as u32, "exchange", Packet::new(step as u32, batch));
-                assert!(sent, "exchange peer PE {dst} died (channel closed)");
+        // One SPSC channel per ordered PE pair. At most two packets are
+        // ever in flight on an edge (src may run one step ahead of dst,
+        // never two: sending step s+2 requires having received dst's step
+        // s+1, which dst sent only after consuming src's step s), so
+        // capacity 2 makes every send non-blocking.
+        let cap = self.config().chan_cap.max(2);
+        // `txs[src][dst]` and `rxs[dst][src]`, `None` on the diagonal (no
+        // self-channel).
+        type Row<T> = Vec<Option<T>>;
+        let mut txs: Vec<Row<Sender<Packet<X::Batch>>>> = (0..workers)
+            .map(|_| (0..workers).map(|_| None).collect())
+            .collect();
+        let mut rxs: Vec<Row<Receiver<Packet<X::Batch>>>> = (0..workers)
+            .map(|_| (0..workers).map(|_| None).collect())
+            .collect();
+        for src in 0..workers {
+            for dst in (0..workers).filter(|&dst| dst != src) {
+                let (tx, rx) = bounded_with_notify(cap, Some(Arc::clone(&ecs[dst])));
+                txs[src][dst] = Some(tx);
+                rxs[dst][src] = Some(rx);
             }
-            recv_step(ep, &ec, &rxs, w, step, &mut inbox);
         }
-        let out = ep.exec(1, || job.finish(w, workers, state, inbox));
-        ep.send(res, ep.master(), "result", Packet::new(w as u32, out));
-    };
-    run_pes(cfg, workers, workers, "result", ctxs, pe, collect_only)
+        let ctxs: Vec<_> = txs.into_iter().zip(rxs).zip(ecs).collect();
+
+        type Ctx<B> = ((Row<Sender<B>>, Row<Receiver<B>>), Arc<EventCount>);
+        let pe = |ep: &mut Endpoint, w: usize, ((txs, rxs), ec): Ctx<_>, res: &Sender<_>| {
+            ep.tbuf.record(NEventKind::RunStart {
+                tasks: steps as u64 + 1,
+            });
+            let mut state = job.init(w, workers);
+            let mut inbox: Vec<X::Batch> = (0..workers).map(|_| X::Batch::default()).collect();
+            for step in 0..steps {
+                let out = ep.exec(1, || job.exchange(w, workers, step, &mut state, inbox));
+                assert_eq!(
+                    out.len(),
+                    workers,
+                    "exchange step {step} on PE {w}: one outgoing batch per PE required"
+                );
+                inbox = (0..workers).map(|_| X::Batch::default()).collect();
+                for (dst, batch) in out.into_iter().enumerate() {
+                    if dst == w {
+                        inbox[w] = batch;
+                        continue;
+                    }
+                    let tx = txs[dst].as_ref().expect("edge exists for every peer");
+                    let sent = ep.send(tx, dst as u32, "exchange", Packet::new(step as u32, batch));
+                    assert!(sent, "exchange peer PE {dst} died (channel closed)");
+                }
+                recv_step(ep, &ec, &rxs, w, step, &mut inbox);
+            }
+            let out = ep.exec(1, || job.finish(w, workers, state, inbox));
+            ep.send(res, ep.master(), "result", Packet::new(w as u32, out));
+        };
+        run_pes(self, workers, workers, "result", ctxs, pe, collect_only)
+    }
 }
 
 /// One PE's barrier wait inside [`try_exchange`]: collect exactly one
@@ -986,6 +1065,50 @@ mod tests {
         assert_eq!(out.stats.tasks_run, 9);
     }
 
+    /// Every skeleton once, traced, on `pool` (3 PEs) and on `cap1`
+    /// (the same with capacity-1 channels).
+    fn traced_runs(
+        pool: &mut EdenPool,
+        cap1: &mut EdenPool,
+    ) -> Vec<(&'static str, NativeOutcome<i64>)> {
+        let toy = ToyExchange {
+            cells: 24,
+            steps: 4,
+        };
+        vec![
+            ("par_map", pool.try_par_map(&Squares(64)).unwrap()),
+            (
+                "master_worker",
+                pool.try_master_worker(&Squares(64), 2).unwrap(),
+            ),
+            ("ring", pool.try_ring(&ToyRing(16)).unwrap().map_values()),
+            (
+                "par_map_reduce",
+                pool.try_par_map_reduce(&Squares(64), |a, b| a + b).unwrap(),
+            ),
+            ("exchange", pool.try_exchange(&toy).unwrap().map_values()),
+            (
+                "exchange chan_cap 1",
+                cap1.try_exchange(&toy).unwrap().map_values(),
+            ),
+        ]
+    }
+
+    /// Counters and trace-event totals of one traced run agree.
+    fn reconcile(name: &str, out: &NativeOutcome<i64>) {
+        assert_eq!(out.trace_dropped, 0, "{name}");
+        let tracer = out.trace.as_ref().expect("traced run must carry a trace");
+        assert_eq!(tracer.caps(), 4, "{name}: 3 PEs + master");
+        let c = Counters::from_tracer(tracer);
+        assert_eq!(c.messages_sent, out.stats.msgs_sent, "{name}");
+        assert_eq!(c.messages_received, out.stats.msgs_recv, "{name}");
+        assert_eq!(c.message_words, out.stats.words_sent, "{name}");
+        assert_eq!(c.native_send_blocks, out.stats.send_blocks, "{name}");
+        assert_eq!(c.native_recv_blocks, out.stats.recv_blocks, "{name}");
+        assert_eq!(c.native_tasks, out.stats.tasks_run, "{name}");
+        assert_eq!(c.native_tasks_stolen, 0, "{name}");
+    }
+
     #[test]
     fn traced_run_reconciles_events_with_counters() {
         let traced = || NativeConfig::new(3).with_trace();
@@ -1018,17 +1141,17 @@ mod tests {
                     .map_values(),
             ),
         ] {
-            assert_eq!(out.trace_dropped, 0, "{name}");
-            let tracer = out.trace.as_ref().expect("traced run must carry a trace");
-            assert_eq!(tracer.caps(), 4, "{name}: 3 PEs + master");
-            let c = Counters::from_tracer(tracer);
-            assert_eq!(c.messages_sent, out.stats.msgs_sent, "{name}");
-            assert_eq!(c.messages_received, out.stats.msgs_recv, "{name}");
-            assert_eq!(c.message_words, out.stats.words_sent, "{name}");
-            assert_eq!(c.native_send_blocks, out.stats.send_blocks, "{name}");
-            assert_eq!(c.native_recv_blocks, out.stats.recv_blocks, "{name}");
-            assert_eq!(c.native_tasks, out.stats.tasks_run, "{name}");
-            assert_eq!(c.native_tasks_stolen, 0, "{name}");
+            reconcile(name, &out);
+        }
+        // The same on reused pools: a PE's trace buffer and counters
+        // start afresh every run, so no event or count leaks from one
+        // run into the next.
+        let mut pool = EdenPool::new(&traced());
+        let mut cap1 = EdenPool::new(&traced().with_chan_cap(1));
+        for round in 0..3 {
+            for (name, out) in traced_runs(&mut pool, &mut cap1) {
+                reconcile(&format!("{name} (reused, round {round})"), &out);
+            }
         }
     }
 
@@ -1189,5 +1312,117 @@ mod tests {
         // par_map's static deal pins task 5 to PE 5 mod 4 = 1.
         let err = try_par_map(&Exploding, &NativeConfig::new(4)).unwrap_err();
         assert_eq!(err.dead_pes, vec![1]);
+    }
+
+    /// The outcome fields a reused pool must reproduce exactly: the
+    /// values and every counter except the timing-dependent ones (the
+    /// demand-driven farm's per-PE split, block counts).
+    fn fingerprint<T: Clone>(out: &NativeOutcome<T>) -> (Vec<T>, [u64; 5]) {
+        let s = &out.stats;
+        (
+            out.values.clone(),
+            [
+                s.tasks_run,
+                s.msgs_sent,
+                s.msgs_recv,
+                s.words_sent,
+                s.remote_words,
+            ],
+        )
+    }
+
+    /// One persistent pool serves every skeleton round after round
+    /// with the results and counters of a fresh pool per run, and a
+    /// run with a dead PE leaves it able to serve a clean run next.
+    /// A transient pool, whose PEs are respawned every run, does too.
+    #[test]
+    fn reused_pool_matches_one_shot_runs_bit_for_bit() {
+        let cfg = NativeConfig::new(3);
+        let toy = ToyExchange {
+            cells: 23,
+            steps: 3,
+        };
+        let ring = ToyRing(11);
+        let par_map = fingerprint(&try_par_map(&Squares(40), &cfg).unwrap());
+        let master_worker = fingerprint(&try_master_worker(&Squares(40), &cfg, 2).unwrap());
+        let reduce = fingerprint(&try_par_map_reduce(&Mats(40), &cfg, matmul2).unwrap());
+        let ringed = fingerprint(&try_ring(&ring, &cfg).unwrap());
+        let exchanged = fingerprint(&try_exchange(&toy, &cfg).unwrap());
+        assert_eq!(par_map.0, expected(40));
+        assert_eq!(master_worker.0, expected(40));
+        let seq = (0..40).map(|i| Mats(40).run(i)).reduce(matmul2).unwrap();
+        assert_eq!(reduce.0, vec![seq]);
+        assert_eq!(ringed.0, ring_oracle(&ring));
+        let flat: Vec<i64> = exchanged.0.iter().flatten().copied().collect();
+        assert_eq!(flat, exchange_oracle(&toy, 3));
+
+        for mut pool in [EdenPool::new(&cfg), EdenPool::transient(&cfg)] {
+            for round in 0..50 {
+                let out = pool.try_par_map(&Squares(40)).unwrap();
+                assert_eq!(fingerprint(&out), par_map, "par_map round {round}");
+                let out = pool.try_master_worker(&Squares(40), 2).unwrap();
+                assert_eq!(
+                    fingerprint(&out),
+                    master_worker,
+                    "master_worker round {round}"
+                );
+                let out = pool.try_par_map_reduce(&Mats(40), matmul2).unwrap();
+                assert_eq!(fingerprint(&out), reduce, "par_map_reduce round {round}");
+                let out = pool.try_ring(&ring).unwrap();
+                assert_eq!(fingerprint(&out), ringed, "ring round {round}");
+                let out = pool.try_exchange(&toy).unwrap();
+                assert_eq!(fingerprint(&out), exchanged, "exchange round {round}");
+            }
+
+            // A dead-PE run, then a clean run on the same threads.
+            let err = pool.try_ring(&DyingRing(ToyRing(16))).unwrap_err();
+            assert_eq!(err.dead_pes, vec![0, 1, 2]);
+            let out = pool.try_ring(&ring).unwrap();
+            assert_eq!(fingerprint(&out), ringed, "ring after a dead-PE run");
+            let out = Skeleton::ParMap
+                .try_run_on(&mut pool, &Squares(40))
+                .unwrap();
+            assert_eq!(fingerprint(&out), par_map, "par_map after a dead-PE run");
+        }
+    }
+
+    /// The master unwinding mid-run (here: its result hook panics
+    /// after priming) while every PE is blocked sending into a full
+    /// capacity-1 result channel. The run must release the PEs, let
+    /// the panic reach the caller, and leave the pool serving, be it
+    /// persistent or transient.
+    #[test]
+    fn master_panic_releases_blocked_pes_and_pool_survives() {
+        let cfg = NativeConfig::new(3).with_chan_cap(1);
+        for make in [
+            EdenPool::new as fn(&NativeConfig) -> EdenPool,
+            EdenPool::transient,
+        ] {
+            let cfg = cfg.clone();
+            let (unwound, mut pool) = terminates(move || {
+                let mut pool = make(&cfg);
+                let pe = |ep: &mut Endpoint, w: usize, (), res: &Sender<Packet<i64>>| {
+                    ep.tbuf.record(NEventKind::RunStart { tasks: 64 });
+                    for i in 0..64u32 {
+                        let idx = w as u32 * 64 + i;
+                        if !ep.send(res, ep.master(), "result", Packet::new(idx, 1)) {
+                            break;
+                        }
+                    }
+                };
+                let master = |_: &mut Endpoint| {
+                    |_: &mut Endpoint, _: usize| panic!("master hook fails after priming")
+                };
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_pes(&mut pool, 3 * 64, 3 * 64, "result", vec![(); 3], pe, master)
+                }));
+                (run.is_err(), pool)
+            });
+            assert!(unwound, "the master's panic must reach the caller");
+            let out = pool.try_par_map(&Squares(100)).unwrap();
+            assert_eq!(out.values, expected(100));
+            let out = pool.try_master_worker(&Squares(100), 1).unwrap();
+            assert_eq!(out.values, expected(100));
+        }
     }
 }

@@ -2,14 +2,17 @@
 //! → batched dispatch onto the persistent native pool.
 //!
 //! One **dispatcher** thread owns the backend (a persistent
-//! [`Pool`] for the steal backend; per-batch skeleton instantiation
-//! for the Eden backend) and loops: assemble a batch from the tenant
-//! queues under deficit-round-robin, run it as a single native job,
-//! resolve every member job's [`JobHandle`]. Admission control is a
-//! high-water mark in *units*: a submission that would push the queued
-//! backlog past [`ServerConfig::queue_cap_units`] is rejected
-//! immediately with [`SubmitError::Backpressure`] — callers shed load
-//! instead of growing an unbounded queue.
+//! [`Pool`] for the steal backend, a persistent [`EdenPool`] of PEs
+//! running the master–worker skeleton for the Eden backend; both
+//! spawn their threads once, the pool at server start and the PEs at
+//! the first batch) and loops: assemble a
+//! batch from the tenant queues under deficit-round-robin, run it as
+//! a single native job, resolve every member job's [`JobHandle`].
+//! Admission control is a high-water mark in *units*: a submission
+//! that would push the queued backlog past
+//! [`ServerConfig::queue_cap_units`] is rejected immediately with
+//! [`SubmitError::Backpressure`] — callers shed load instead of
+//! growing an unbounded queue.
 //!
 //! Fault containment: every unit executes under `catch_unwind`, so a
 //! panicking job resolves as [`JobStatus::Panicked`] while its
@@ -19,7 +22,7 @@
 
 use crate::histogram::LatencyHistogram;
 use crate::job::{JobClass, JobHandle, JobId, JobOutcome, JobState, JobStatus};
-use rph_native::{BackendKind, CancelToken, Job, NativeConfig, Pool, RunError, Skeleton};
+use rph_native::{BackendKind, CancelToken, EdenPool, Job, NativeConfig, Pool, RunError, Skeleton};
 use rph_trace::{CapId, EventKind, Tracer};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -468,6 +471,7 @@ impl Drop for Server {
 fn dispatcher(shared: Arc<Shared>, cfg: &ServerConfig) -> Option<Tracer> {
     let native = &cfg.native;
     let mut pool = matches!(native.backend, BackendKind::Steal).then(|| Pool::new(native));
+    let mut pes = matches!(native.backend, BackendKind::Eden).then(|| EdenPool::new(native));
     let rows = native.workers.max(1) + 1;
     let master = CapId((rows - 1) as u32);
     let mut tracer = native.trace.then(|| Tracer::new(rows));
@@ -536,11 +540,14 @@ fn dispatcher(shared: Arc<Shared>, cfg: &ServerConfig) -> Option<Tracer> {
                 let pool = pool.as_mut().expect("steal backend has a pool");
                 pool.try_execute_cancellable(&batch, &shared.server_cancel)
             }
-            BackendKind::Eden => Skeleton::MasterWorker {
-                prefetch: cfg.prefetch,
+            BackendKind::Eden => {
+                let pes = pes.as_mut().expect("Eden backend has a PE pool");
+                Skeleton::MasterWorker {
+                    prefetch: cfg.prefetch,
+                }
+                .try_run_on(pes, &batch)
+                .map_err(RunError::from)
             }
-            .try_run(&batch, native)
-            .map_err(RunError::from),
         };
         shared.stats.batches.fetch_add(1, Ordering::SeqCst);
         match result {
@@ -636,6 +643,11 @@ mod tests {
 
     fn steal2() -> NativeConfig {
         NativeConfig::steal(2)
+    }
+
+    /// Both backends at two workers/PEs.
+    fn both2() -> [NativeConfig; 2] {
+        [steal2(), steal2().with_backend(BackendKind::Eden)]
     }
 
     /// Spin-wait until a handle shows forward progress — the sync
@@ -891,9 +903,16 @@ mod tests {
 
     #[test]
     fn poison_job_is_contained_to_itself() {
+        for native in both2() {
+            poison_job_is_contained_on(native);
+        }
+    }
+
+    fn poison_job_is_contained_on(native: NativeConfig) {
+        let backend = native.backend;
         // Park the dispatcher behind a blocker so the poison job and
         // its victims-to-be land in the same batch.
-        let cfg = ServerConfig::new(steal2()).with_batch_max(256);
+        let cfg = ServerConfig::new(native).with_batch_max(256);
         let server = Server::start(cfg);
         let blocker = server
             .submit(
@@ -922,23 +941,28 @@ mod tests {
                     .expect("accepted")
             })
             .collect();
-        assert_eq!(poison.wait().status, JobStatus::Panicked);
+        assert_eq!(poison.wait().status, JobStatus::Panicked, "{backend:?}");
         for h in &mates {
             let out = h.wait();
-            assert_eq!(out.status, JobStatus::Done, "batch-mate survived the panic");
+            assert_eq!(
+                out.status,
+                JobStatus::Done,
+                "{backend:?}: batch-mate survived the panic"
+            );
             assert_eq!(
                 Some(out.value),
-                JobClass::SumEuler { n: 60, chunk: 6 }.expected()
+                JobClass::SumEuler { n: 60, chunk: 6 }.expected(),
+                "{backend:?}"
             );
         }
         // The pool is still alive for new work after the panic.
         let after = server
             .submit(0, JobClass::Spin { units: 4, iters: 8 })
             .expect("accepted");
-        assert_eq!(after.wait().status, JobStatus::Done);
+        assert_eq!(after.wait().status, JobStatus::Done, "{backend:?}");
         let report = server.shutdown();
-        assert_eq!(report.stats.panicked, 1);
-        assert_eq!(report.stats.done, 8);
+        assert_eq!(report.stats.panicked, 1, "{backend:?}");
+        assert_eq!(report.stats.done, 8, "{backend:?}");
     }
 
     // ------------------------------------------------------ tenant fairness
@@ -996,7 +1020,14 @@ mod tests {
 
     #[test]
     fn soak_ten_thousand_jobs_leak_nothing() {
-        let cfg = ServerConfig::new(steal2())
+        for native in both2() {
+            soak_on(native);
+        }
+    }
+
+    fn soak_on(native: NativeConfig) {
+        let backend = native.backend;
+        let cfg = ServerConfig::new(native)
             .with_queue_cap(200_000)
             .with_batch_max(512);
         let server = Server::start(cfg);
@@ -1014,17 +1045,26 @@ mod tests {
             .collect();
         for (k, h) in &handles {
             let out = h.wait();
-            assert_eq!(out.status, JobStatus::Done);
-            assert_eq!(out.value, expected[*k], "lost or duplicated unit results");
+            assert_eq!(out.status, JobStatus::Done, "{backend:?}");
+            assert_eq!(
+                out.value, expected[*k],
+                "{backend:?}: lost or duplicated unit results"
+            );
         }
         let report = server.shutdown();
-        assert_eq!(report.stats.accepted, 10_000);
-        assert_eq!(report.stats.done, 10_000);
-        assert_eq!(report.stats.cancelled, 0);
-        assert_eq!(report.stats.panicked, 0);
-        assert_eq!(report.stats.queued_units, 0, "leaked queue slots");
-        assert_eq!(report.stats.queued_jobs, 0);
-        assert!(report.stats.batches <= 10_000, "batching happened at all");
+        assert_eq!(report.stats.accepted, 10_000, "{backend:?}");
+        assert_eq!(report.stats.done, 10_000, "{backend:?}");
+        assert_eq!(report.stats.cancelled, 0, "{backend:?}");
+        assert_eq!(report.stats.panicked, 0, "{backend:?}");
+        assert_eq!(
+            report.stats.queued_units, 0,
+            "{backend:?}: leaked queue slots"
+        );
+        assert_eq!(report.stats.queued_jobs, 0, "{backend:?}");
+        assert!(
+            report.stats.batches <= 10_000,
+            "{backend:?}: batching happened at all"
+        );
     }
 
     // ------------------------------------------------------------- tracing
