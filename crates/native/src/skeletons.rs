@@ -14,9 +14,9 @@
 //!   `prefetch` task packets in flight per worker and hands out the
 //!   next task only when a result comes back, so fast workers get
 //!   more tasks.
-//! * [`try_ring`] — PEs own contiguous blocks of items and pass a
-//!   pivot packet around the ring once per wave (APSP's
-//!   Floyd–Warshall rounds, the paper's §III.D ring skeleton).
+//! * [`try_ring`] — PEs own contiguous blocks of items, update them
+//!   in place and pass a pivot packet around the ring once per wave
+//!   (APSP's Floyd–Warshall rounds, the paper's §III.D ring skeleton).
 //! * [`try_par_map_reduce`] — the static farm folding as it goes: one
 //!   partial packet per PE.
 //! * [`try_exchange`] — bulk-synchronous all-to-all batches between
@@ -299,10 +299,12 @@ pub trait RingJob: Sync {
     /// Item `idx`'s initial state.
     fn init(&self, idx: usize) -> Self::Item;
 
-    /// Item `idx`'s next state given wave `k`'s pivot. Not called for
-    /// `idx == k` — the pivot item is carried over unchanged (the
-    /// Floyd–Warshall self-update is the identity).
-    fn step(&self, item: &Self::Item, idx: usize, pivot: &Self::Item, k: usize) -> Self::Item;
+    /// Advance item `idx` in place to its next state given wave `k`'s
+    /// pivot. The item is the calling PE's own memory, so an update
+    /// needs no allocation. Not called for `idx == k` — the pivot item
+    /// is carried over unchanged (the Floyd–Warshall self-update is
+    /// the identity).
+    fn step(&self, item: &mut Self::Item, idx: usize, pivot: &Self::Item, k: usize);
 }
 
 impl EdenPool {
@@ -312,12 +314,13 @@ impl EdenPool {
     /// the pivot and sends it to its ring successor; every other PE
     /// receives the pivot from its predecessor, forwards it (unless the
     /// successor is the owner, which already has it) and updates its
-    /// block. After the last wave each PE streams its block back to the
-    /// master. One pivot thus crosses each ring edge at most once per
-    /// wave — `workers - 1` sends per wave, never `workers²`. A dying PE
-    /// severs the ring, so its neighbours' waves cannot complete either:
-    /// expect an [`EdenIncomplete`] cascade where several (often all) PEs
-    /// land in [`EdenIncomplete::dead_pes`].
+    /// block in place ([`RingJob::step`]). After the last wave each PE
+    /// streams its block back to the master. One pivot thus crosses
+    /// each ring edge at most once per wave — `workers - 1` sends per
+    /// wave, never `workers²`. A dying PE severs the ring, so its
+    /// neighbours' waves cannot complete either: expect an
+    /// [`EdenIncomplete`] cascade where several (often all) PEs land in
+    /// [`EdenIncomplete::dead_pes`].
     pub fn try_ring<R: RingJob>(
         &mut self,
         job: &R,
@@ -372,7 +375,7 @@ impl EdenPool {
                     ep.exec(hi - lo, || {
                         for (off, item) in items.iter_mut().enumerate() {
                             if lo + off != k {
-                                *item = job.step(item, lo + off, &pivot, k);
+                                job.step(item, lo + off, &pivot, k);
                             }
                         }
                     });
@@ -1018,11 +1021,10 @@ mod tests {
         fn init(&self, idx: usize) -> Vec<f64> {
             vec![idx as f64, (idx * idx) as f64 + 1.0, 3.0]
         }
-        fn step(&self, item: &Vec<f64>, idx: usize, pivot: &Vec<f64>, k: usize) -> Vec<f64> {
-            item.iter()
-                .zip(pivot)
-                .map(|(a, b)| a + b * ((k + 1) as f64) + idx as f64 * 0.5)
-                .collect()
+        fn step(&self, item: &mut Vec<f64>, idx: usize, pivot: &Vec<f64>, k: usize) {
+            for (a, b) in item.iter_mut().zip(pivot) {
+                *a = *a + b * ((k + 1) as f64) + idx as f64 * 0.5;
+            }
         }
     }
 
@@ -1033,7 +1035,7 @@ mod tests {
             let pivot = items[k].clone();
             for (idx, item) in items.iter_mut().enumerate() {
                 if idx != k {
-                    *item = job.step(item, idx, &pivot, k);
+                    job.step(item, idx, &pivot, k);
                 }
             }
         }
@@ -1200,9 +1202,9 @@ mod tests {
         fn init(&self, idx: usize) -> Vec<f64> {
             self.0.init(idx)
         }
-        fn step(&self, item: &Vec<f64>, idx: usize, pivot: &Vec<f64>, k: usize) -> Vec<f64> {
+        fn step(&self, item: &mut Vec<f64>, idx: usize, pivot: &Vec<f64>, k: usize) {
             assert!(!(idx == 5 && k == 1), "boom");
-            self.0.step(item, idx, pivot, k)
+            self.0.step(item, idx, pivot, k);
         }
     }
 

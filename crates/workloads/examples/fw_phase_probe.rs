@@ -19,15 +19,14 @@ fn main() {
         d[i * n + i] = 0.0;
     }
 
-    let reps = 2000;
-    let ops = (TILE * TILE * TILE) as f64; // relaxations per tile call
-
     // The tier modules only exist under the `simd` feature — the
     // forced-scalar (`--no-default-features`) build must still compile
     // this example, it just skips straight to the scalar probe.
     #[cfg(all(target_arch = "x86_64", feature = "simd"))]
     {
         use rph_workloads::simd::{avx2, avx512};
+        let reps = 2000;
+        let ops = (TILE * TILE * TILE) as f64; // relaxations per tile call
         if std::arch::is_x86_feature_detected!("avx512f") {
             let mut scratch = Vec::with_capacity(TILE);
             let t = Instant::now();

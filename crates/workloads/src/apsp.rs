@@ -124,31 +124,29 @@ impl Apsp {
 
         // updateRow row_i row_k k: one relaxation (k is 1-based).
         let update_row = b.kernel("updateRow", 3, |heap, args| {
-            let row_i = heap.expect_value(args[0]).expect_darray().to_vec();
-            let row_k = heap.expect_value(args[1]).expect_darray().to_vec();
             let k = heap.expect_value(args[2]).expect_int() as usize - 1;
-            let (out, cost) = kernels::min_plus_update(&row_i, &row_k, k);
-            let words = out.len() as u64;
+            let mut row = heap.expect_value(args[0]).expect_darray().to_vec();
+            let row_k = heap.expect_value(args[1]).expect_darray();
+            let cost = kernels::min_plus_relax(&mut row, row_k, k);
+            let words = row.len() as u64;
             KernelOut {
-                result: heap.alloc_value(Value::DArray(out.into())),
+                result: heap.alloc_value(Value::DArray(row.into())),
                 cost,
                 transient_words: words,
             }
         });
         // updateRows rows row_k k: relax every row in the (NF) list.
         let update_rows = b.kernel("updateRows", 3, |heap, args| {
-            let rows = read_rows(heap, args[0]);
-            let row_k = heap.expect_value(args[1]).expect_darray().to_vec();
+            let mut rows = read_rows(heap, args[0]);
             let k = heap.expect_value(args[2]).expect_int() as usize - 1;
-            let mut cost = 0u64;
-            let mut out_nodes = Vec::with_capacity(rows.len());
-            let mut words = 0u64;
-            for row in &rows {
-                let (out, c) = kernels::min_plus_update(row, &row_k, k);
-                cost += c;
-                words += out.len() as u64;
-                out_nodes.push(heap.alloc_value(Value::DArray(out.into())));
-            }
+            let row_k = heap.expect_value(args[1]).expect_darray();
+            let cost = (rows.iter_mut())
+                .map(|row| kernels::min_plus_relax(row, row_k, k))
+                .sum();
+            let words = rows.iter().map(|row| row.len() as u64).sum();
+            let out_nodes: Vec<NodeRef> = (rows.into_iter())
+                .map(|row| heap.alloc_value(Value::DArray(row.into())))
+                .collect();
             KernelOut {
                 result: list_of(heap, &out_nodes),
                 cost,

@@ -6,6 +6,12 @@
 //! Haskell inner loop would have produced (list spines and boxed
 //! intermediates that a copying collector never pays to copy but that
 //! fill the allocation area).
+//!
+//! The min-plus row relaxation is one in-place kernel,
+//! [`min_plus_relax`]: both native APSP backends relax the rows they
+//! own with it, and the simulator's `updateRow`/`updateRows` kernels
+//! copy the row once (the fresh heap value the Haskell program
+//! allocates) and relax the copy.
 
 /// Cost of one gcd loop iteration (one Euclidean `mod` step).
 pub const C_GCD_ITER: u64 = 22;
@@ -399,18 +405,18 @@ pub fn block_mul_acc(acc: &[f64], a: &[f64], b: &[f64], s: usize) -> (Vec<f64>, 
     (out, (s * s * s) as u64 * 2 * C_FMA)
 }
 
-/// One Floyd–Warshall relaxation of `row_i` by pivot row `row_k`
-/// (pivot index `k`, 0-based): `d[t] = min(d[t], d[k] + row_k[t])`.
-/// Returns the new row and the cost.
-pub fn min_plus_update(row_i: &[f64], row_k: &[f64], k: usize) -> (Vec<f64>, u64) {
-    assert_eq!(row_i.len(), row_k.len());
-    let dik = row_i[k];
-    let mut out = Vec::with_capacity(row_i.len());
-    for (t, &d) in row_i.iter().enumerate() {
-        let via = dik + row_k[t];
-        out.push(if via < d { via } else { d });
+/// One Floyd–Warshall relaxation of `row` by pivot row `pivot` (pivot
+/// index `k`, 0-based), in place: `row[t] = min(row[t], row[k] +
+/// pivot[t])`. This is the one row kernel every APSP backend runs;
+/// it allocates nothing. Returns the cost, `len × C_MINPLUS`.
+pub fn min_plus_relax(row: &mut [f64], pivot: &[f64], k: usize) -> u64 {
+    assert_eq!(row.len(), pivot.len());
+    let dik = row[k];
+    for (d, &p) in row.iter_mut().zip(pivot) {
+        let via = dik + p;
+        *d = if via < *d { via } else { *d };
     }
-    (out, row_i.len() as u64 * C_MINPLUS)
+    row.len() as u64 * C_MINPLUS
 }
 
 /// Plain-Rust Floyd–Warshall over a row-major `n×n` distance matrix:
@@ -639,9 +645,11 @@ mod tests {
             3.0, 0.0, 1.0,
             inf, 1.0, 0.0,
         ];
-        // Relax row 0 by pivot row 1.
-        let (r0, _) = min_plus_update(&d[0..3], &d[3..6], 1);
+        // Relax row 0 by pivot row 1, in place.
+        let mut r0 = d[0..3].to_vec();
+        let cost = min_plus_relax(&mut r0, &d[3..6], 1);
         assert_eq!(r0, vec![0.0, 3.0, 4.0]);
+        assert_eq!(cost, 3 * C_MINPLUS);
         floyd_warshall(&mut d, 3);
         assert_eq!(&d[0..3], &[0.0, 3.0, 4.0]);
         assert_eq!(&d[6..9], &[4.0, 1.0, 0.0]);

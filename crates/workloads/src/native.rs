@@ -19,6 +19,12 @@
 //!   `try_ring` for APSP's pivot waves and `try_exchange` for
 //!   episim.
 //!
+//! APSP relaxes its rows in place on both backends, with the one
+//! allocation-free row kernel [`kernels::min_plus_relax`]: the steal
+//! side carries one `Mutex` per row (each row has one writer per
+//! wave, so the lock is never contended) and copies the pivot row
+//! once per wave; the Eden ring's PEs relax the rows they own.
+//!
 //! The entry point is one trait, [`NativeWorkload::run_on`], which
 //! dispatches on [`NativeConfig::backend`] and returns a `Result`: a
 //! panicking task (steal backend) or a dying PE (Eden backend)
@@ -54,6 +60,7 @@ use rph_native::{
     Pool, RingJob, RunError, Skeleton, Wordsize,
 };
 use rph_trace::Tracer;
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Result of one native run: the workload checksum plus wall-clock
@@ -393,65 +400,73 @@ impl NativeWorkload for MatMul {
 
 // ---------------------------------------------------------------- apsp
 
-/// One pivot wave: relax every row by the (final) pivot row. The pivot
-/// row itself is unchanged at its own step, so its task is the
-/// identity — keeping one task per row keeps indices aligned with the
-/// state vector.
+/// A row lock is only poisoned by a relaxation that panicked, and a
+/// panicking wave ends the run before its state is read again.
+const POISONED_ROW: &str = "APSP row lock poisoned by a panicking relaxation";
+
+/// One pivot wave: task `idx` relaxes row `idx` in place by a copy of
+/// the (final) pivot row, taken once when the wave is built. The pivot
+/// row itself is unchanged at its own step, so its task does nothing —
+/// keeping one task per row keeps indices aligned with the state
+/// vector. Each row has exactly one writer per wave, so its lock is
+/// never contended.
 pub struct PivotWave<'a> {
-    state: &'a [Vec<f64>],
+    state: &'a [Mutex<Vec<f64>>],
     pivot: Vec<f64>,
     /// 0-based pivot index.
     k: usize,
 }
 
 impl Job for PivotWave<'_> {
-    type Out = Vec<f64>;
+    type Out = ();
     fn len(&self) -> usize {
         self.state.len()
     }
-    fn run(&self, idx: usize) -> Vec<f64> {
-        if idx == self.k {
-            self.state[idx].clone()
-        } else {
-            kernels::min_plus_update(&self.state[idx], &self.pivot, self.k).0
+    fn run(&self, idx: usize) {
+        if idx != self.k {
+            let mut row = self.state[idx].lock().expect(POISONED_ROW);
+            kernels::min_plus_relax(&mut row, &self.pivot, self.k);
         }
     }
 }
 
 /// APSP's steal-backend form through the iterated seam: the carried
-/// state is the distance matrix, round `k`'s job is the pivot-`k`
-/// wave, and `absorb` replaces the rows wholesale.
+/// state is the distance matrix, one lock per row, and round `k`'s job
+/// is the pivot-`k` wave, which relaxes the rows where they are — so
+/// `absorb` has nothing to fold.
 impl IterNative for Apsp {
-    type State = Vec<Vec<f64>>;
-    type Out = Vec<f64>;
+    type State = Vec<Mutex<Vec<f64>>>;
+    type Out = ();
     type RoundJob<'a> = PivotWave<'a>;
 
     fn rounds(&self) -> usize {
         self.n
     }
-    fn init_state(&self) -> Vec<Vec<f64>> {
-        self.input_rows()
+    fn init_state(&self) -> Vec<Mutex<Vec<f64>>> {
+        self.input_rows().into_iter().map(Mutex::new).collect()
     }
-    fn round_job<'a>(&'a self, round: usize, state: &'a Vec<Vec<f64>>) -> PivotWave<'a> {
+    fn round_job<'a>(&'a self, round: usize, state: &'a Vec<Mutex<Vec<f64>>>) -> PivotWave<'a> {
         PivotWave {
             state,
-            pivot: state[round].clone(),
+            pivot: state[round].lock().expect(POISONED_ROW).clone(),
             k: round,
         }
     }
-    fn absorb(&self, _round: usize, state: &mut Vec<Vec<f64>>, values: Vec<Vec<f64>>) {
-        *state = values;
-    }
-    fn finish(&self, state: Vec<Vec<f64>>) -> i64 {
-        apsp_checksum(&state)
+    fn absorb(&self, _round: usize, _state: &mut Vec<Mutex<Vec<f64>>>, _values: Vec<()>) {}
+    fn finish(&self, state: Vec<Mutex<Vec<f64>>>) -> i64 {
+        let rows: Vec<Vec<f64>> = (state.into_iter())
+            .map(|row| row.into_inner().expect(POISONED_ROW))
+            .collect();
+        apsp_checksum(&rows)
     }
 }
 
 /// Floyd–Warshall as a [`RingJob`]: row `idx` is the item, wave `k`'s
-/// pivot is row `k`'s pre-wave state, and the update is the same
-/// [`kernels::min_plus_update`] the other backends apply — so the ring
-/// result is bit-identical to theirs (identical per-row operation
-/// sequences on exactly-representable values).
+/// pivot is row `k`'s pre-wave state, and the step relaxes the
+/// PE-owned row in place with the same [`kernels::min_plus_relax`] the
+/// other backends apply — so the ring result is bit-identical to
+/// theirs (identical per-row operation sequences on
+/// exactly-representable values).
 struct ApspRing {
     rows: Vec<Vec<f64>>,
 }
@@ -465,8 +480,8 @@ impl RingJob for ApspRing {
     fn init(&self, idx: usize) -> Vec<f64> {
         self.rows[idx].clone()
     }
-    fn step(&self, item: &Vec<f64>, _idx: usize, pivot: &Vec<f64>, k: usize) -> Vec<f64> {
-        kernels::min_plus_update(item, pivot, k).0
+    fn step(&self, item: &mut Vec<f64>, _idx: usize, pivot: &Vec<f64>, k: usize) {
+        kernels::min_plus_relax(item, pivot, k);
     }
 }
 
@@ -617,6 +632,24 @@ mod tests {
             let m = w.run_on(&cfg).unwrap();
             assert_eq!(m.value, expect, "{cfg:?}");
             assert_eq!(m.stats.tasks_run, 16);
+        }
+    }
+
+    #[test]
+    fn apsp_in_place_rows_agree_across_backends_at_uneven_sizes() {
+        for n in [23usize, 37] {
+            let w = Apsp::new(n);
+            let expect = w.expected();
+            for workers in [1usize, 2, 3, 4, 8] {
+                let steal = w.run_on(&NativeConfig::new(workers)).unwrap();
+                let eden = (w.run_on(&NativeConfig::new(workers).with_backend(BackendKind::Eden)))
+                    .unwrap();
+                assert_eq!(steal.value, expect, "n={n} workers={workers}");
+                assert_eq!(eden.value, expect, "n={n} workers={workers}");
+                assert_eq!(steal.value, eden.value, "n={n} workers={workers}");
+                assert_eq!(steal.stats.tasks_run as usize, n * n);
+                assert_eq!(eden.stats.tasks_run as usize, n * n);
+            }
         }
     }
 

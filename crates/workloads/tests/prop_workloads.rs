@@ -5,9 +5,10 @@
 use proptest::prelude::*;
 use rph_eden::EdenConfig;
 use rph_gph::{BlackHoling, GphConfig, SparkExec, SparkPolicy};
+use rph_workloads::apsp::BIG;
 use rph_workloads::kernels::{
     self, block_mul_acc, block_mul_acc_naive, floyd_warshall, floyd_warshall_blocked,
-    matmul_oracle, matmul_tiled_into, TILE,
+    matmul_oracle, matmul_tiled_into, min_plus_relax, TILE,
 };
 use rph_workloads::{Apsp, MatMul, NQueens, SumEuler};
 
@@ -135,6 +136,33 @@ proptest! {
         floyd_warshall(&mut plain, w.n);
         floyd_warshall_blocked(&mut blocked, w.n);
         prop_assert_eq!(plain, blocked, "n={}", n);
+    }
+
+    #[test]
+    fn in_place_relaxation_waves_match_floyd_warshall(
+        n in 1usize..70,
+        density in 100u64..900,
+        seed in 0u64..100,
+    ) {
+        let mut w = Apsp::new(n);
+        w.density_millis = density;
+        w.seed = seed;
+        // Unreachable pairs as true infinities, not the BIG surrogate.
+        let mut flat: Vec<f64> = (w.input_flat().into_iter())
+            .map(|d| if d == BIG { f64::INFINITY } else { d })
+            .collect();
+        let mut rows: Vec<Vec<f64>> = flat.chunks_exact(n).map(|r| r.to_vec()).collect();
+        for k in 0..n {
+            let pivot = rows[k].clone();
+            for (i, row) in rows.iter_mut().enumerate() {
+                if i != k {
+                    let cost = min_plus_relax(row, &pivot, k);
+                    prop_assert_eq!(cost, n as u64 * kernels::C_MINPLUS);
+                }
+            }
+        }
+        floyd_warshall(&mut flat, n);
+        prop_assert_eq!(rows.concat(), flat, "n={}", n);
     }
 
     #[test]
